@@ -15,7 +15,9 @@
 //
 // An EXPLAIN prefix on a SQL or CODASYL-DML statement executes it
 // normally and additionally prints the annotated physical plan
-// (estimated vs. actual rows and blocks per node).
+// (estimated vs. actual rows and blocks per node). Every statement runs
+// through the same kms::LanguageInterface contract a wire session uses,
+// so the shell prints exactly the bytes the server would send.
 //
 // Meta commands: .help  .trace  .schema  .stats  .quit
 //
@@ -23,12 +25,16 @@
 //   EXPLAIN FIND ANY course USING title IN course
 //   GET" | ./local_shell
 
+#include <algorithm>
 #include <cstdio>
+#include <initializer_list>
 #include <iostream>
+#include <map>
 #include <string>
 
 #include "common/strings.h"
 #include "kfs/formatter.h"
+#include "kms/language_interface.h"
 #include "mlds/mlds.h"
 #include "university/university.h"
 
@@ -54,6 +60,35 @@ bool StartsWithWord(std::string_view line, std::string_view word) {
   if (!StartsWithIgnoreCase(line, word)) return false;
   return line.size() == word.size() || line[word.size()] == ' ' ||
          line[word.size()] == '\t';
+}
+
+/// The language a statement's leading keyword selects (an EXPLAIN prefix
+/// routes by the statement underneath it).
+kms::Language RouteOf(std::string_view statement) {
+  if (StartsWithWord(statement, "EXPLAIN")) {
+    statement = Trim(statement.substr(7));
+  }
+  auto starts = [statement](std::initializer_list<std::string_view> words) {
+    for (std::string_view word : words) {
+      if (StartsWithWord(statement, word)) return true;
+    }
+    return false;
+  };
+  if (starts({"GU", "GN", "GNP", "ISRT", "REPL", "DLET"})) {
+    return kms::Language::kDli;
+  }
+  if (starts({"SELECT", "INSERT", "DELETE"})) return kms::Language::kSql;
+  if (starts({"UPDATE"})) {
+    // SQL names a table and then SET; Daplex names an entity type and
+    // then SUCH THAT or its assignment list.
+    std::string_view rest = Trim(statement.substr(6));
+    const size_t name_end = std::min(rest.find_first_of(" \t"), rest.size());
+    rest = Trim(rest.substr(name_end));
+    return StartsWithWord(rest, "SET") ? kms::Language::kSql
+                                       : kms::Language::kDaplex;
+  }
+  if (starts({"FOR", "CREATE", "DESTROY"})) return kms::Language::kDaplex;
+  return kms::Language::kCodasyl;
 }
 
 }  // namespace
@@ -91,6 +126,11 @@ int main() {
   auto sql = system.OpenSqlSession("payroll");
   auto dli = system.OpenDliSession("clinic");
   if (!codasyl.ok() || !daplex.ok() || !sql.ok() || !dli.ok()) return 1;
+  const std::map<kms::Language, kms::LanguageInterface*> interfaces = {
+      {kms::Language::kCodasyl, *codasyl},
+      {kms::Language::kDaplex, *daplex},
+      {kms::Language::kSql, *sql},
+      {kms::Language::kDli, *dli}};
 
   std::printf("MLDS shell — four languages, one kernel. Type .help for "
               "commands.\n");
@@ -124,85 +164,14 @@ int main() {
       continue;
     }
 
-    // An EXPLAIN prefix routes by the statement underneath it; the full
-    // text (prefix included) is what the language machine executes.
-    std::string_view routed = trimmed;
-    if (StartsWithWord(routed, "EXPLAIN")) {
-      routed = Trim(routed.substr(7));
-    }
-
-    // --- DL/I ---
-    if (StartsWithWord(routed, "GU") || StartsWithWord(routed, "GN") ||
-        StartsWithWord(routed, "GNP") || StartsWithWord(routed, "ISRT") ||
-        StartsWithWord(routed, "REPL") || StartsWithWord(routed, "DLET")) {
-      auto outcome = (*dli)->ExecuteText(trimmed);
-      if (!outcome.ok()) {
-        std::printf("error: %s\n", outcome.status().ToString().c_str());
-      } else if (!outcome->segments.empty()) {
-        std::printf("%s", kfs::FormatTable(outcome->segments).c_str());
-      } else if (!outcome->info.empty()) {
-        std::printf("%s\n", outcome->info.c_str());
-      }
+    Result<kms::Reply> reply =
+        interfaces.at(RouteOf(trimmed))->Run(trimmed, /*explain=*/false);
+    if (!reply.ok()) {
+      std::printf("error: %s\n", reply.status().ToString().c_str());
       continue;
     }
-
-    // --- SQL ---
-    const bool sql_update =
-        StartsWithWord(routed, "UPDATE") &&
-        system.FindRelationalSchema("payroll")->FindTable(
-            std::string(Trim(routed.substr(6))).substr(
-                0, std::string(Trim(routed.substr(6))).find(' '))) != nullptr;
-    if (StartsWithWord(routed, "SELECT") ||
-        StartsWithWord(routed, "INSERT") ||
-        StartsWithWord(routed, "DELETE") || sql_update) {
-      auto outcome = (*sql)->ExecuteText(trimmed);
-      if (!outcome.ok()) {
-        std::printf("error: %s\n", outcome.status().ToString().c_str());
-        continue;
-      }
-      if (!outcome->rows.empty()) {
-        std::printf("%s", kfs::FormatTable(outcome->rows).c_str());
-      } else {
-        std::printf("%s\n", outcome->info.c_str());
-      }
-      if (outcome->plan != nullptr) {
-        std::printf("%s", kfs::FormatPlan(*outcome->plan).c_str());
-      }
-      continue;
-    }
-
-    // --- Daplex ---
-    if (StartsWithWord(routed, "FOR") || StartsWithWord(routed, "CREATE") ||
-        StartsWithWord(routed, "DESTROY") ||
-        StartsWithWord(routed, "UPDATE")) {
-      auto outcome = (*daplex)->ExecuteStatement(trimmed);
-      if (!outcome.ok()) {
-        std::printf("error: %s\n", outcome.status().ToString().c_str());
-      } else if (!outcome->records.empty()) {
-        std::printf("%s", kfs::FormatTable(outcome->records).c_str());
-      } else {
-        std::printf("%s\n", outcome->info.c_str());
-      }
-      continue;
-    }
-
-    // --- CODASYL-DML (default) ---
-    auto result = (*codasyl)->ExecuteText(trimmed);
-    if (!result.ok()) {
-      std::printf("error: %s\n", result.status().ToString().c_str());
-      continue;
-    }
-    if (!result->records.empty()) {
-      std::printf("%s", kfs::FormatTable(result->records).c_str());
-    }
-    if (!result->info.empty()) {
-      std::printf("%s\n", result->info.c_str());
-    }
-    if (result->plan != nullptr) {
-      kfs::PlanFormatOptions plan_options;
-      plan_options.header = "ABDL REQUEST PLAN";
-      std::printf("%s", kfs::FormatPlan(*result->plan, plan_options).c_str());
-    }
+    std::fputs(reply->body->Drain().c_str(), stdout);
+    std::fputs(kfs::FormatWarnings(reply->warnings).c_str(), stdout);
   }
   std::printf("\nbye.\n");
   return 0;

@@ -47,13 +47,6 @@ std::vector<std::string> CollectColumns(
 
 }  // namespace
 
-std::string StringChunkSource::Next(size_t max_bytes) {
-  const size_t n = std::min(max_bytes, body_.size() - pos_);
-  std::string chunk = body_.substr(pos_, n);
-  pos_ += n;
-  return chunk;
-}
-
 TableChunkSource::TableChunkSource(std::vector<abdm::Record> records,
                                    const network::RecordType* record_type,
                                    const network::Schema* schema,
@@ -157,11 +150,7 @@ std::string FormatTable(const std::vector<abdm::Record>& records,
                         const network::RecordType* record_type,
                         const network::Schema* schema,
                         const FormatOptions& options) {
-  TableChunkSource source(&records, record_type, schema, options);
-  std::string out;
-  out.reserve(source.total_bytes());
-  while (!source.done()) out += source.Next(1 << 20);
-  return out;
+  return TableChunkSource(&records, record_type, schema, options).Drain();
 }
 
 std::string FormatRecord(const abdm::Record& record,
@@ -337,6 +326,18 @@ Result<kc::KernelHealth> ParseHealth(std::string_view text) {
   return health;
 }
 
+namespace {
+
+/// The SQL, Daplex, and DL/I outcome body: the result rows as a table,
+/// else the info line, else nothing.
+std::string RowsOrInfo(const std::vector<abdm::Record>& rows,
+                       const std::string& info) {
+  if (!rows.empty()) return FormatTable(rows);
+  return info.empty() ? std::string() : info + "\n";
+}
+
+}  // namespace
+
 std::string FormatDmlResult(const kms::DmlResult& result) {
   std::string out;
   if (!result.records.empty()) out += FormatTable(result.records);
@@ -350,34 +351,17 @@ std::string FormatDmlResult(const kms::DmlResult& result) {
 }
 
 std::string FormatSqlOutcome(const kms::SqlMachine::Outcome& outcome) {
-  std::string out;
-  if (!outcome.rows.empty()) {
-    out += FormatTable(outcome.rows);
-  } else if (!outcome.info.empty()) {
-    out += outcome.info + "\n";
-  }
+  std::string out = RowsOrInfo(outcome.rows, outcome.info);
   if (outcome.plan != nullptr) out += FormatPlan(*outcome.plan);
   return out;
 }
 
 std::string FormatDaplexOutcome(const kms::DaplexMachine::Outcome& outcome) {
-  std::string out;
-  if (!outcome.records.empty()) {
-    out += FormatTable(outcome.records);
-  } else if (!outcome.info.empty()) {
-    out += outcome.info + "\n";
-  }
-  return out;
+  return RowsOrInfo(outcome.records, outcome.info);
 }
 
 std::string FormatDliOutcome(const kms::DliMachine::Outcome& outcome) {
-  std::string out;
-  if (!outcome.segments.empty()) {
-    out += FormatTable(outcome.segments);
-  } else if (!outcome.info.empty()) {
-    out += outcome.info + "\n";
-  }
-  return out;
+  return RowsOrInfo(outcome.segments, outcome.info);
 }
 
 }  // namespace mlds::kfs

@@ -9,6 +9,7 @@
 #include "kc/executor.h"
 #include "kds/engine.h"
 #include "kds/plan.h"
+#include "kfs/chunk_source.h"
 #include "kms/daplex_machine.h"
 #include "kms/dli_machine.h"
 #include "kms/dml_machine.h"
@@ -39,43 +40,6 @@ std::string FormatTable(const std::vector<abdm::Record>& records,
                         const network::RecordType* record_type = nullptr,
                         const network::Schema* schema = nullptr,
                         const FormatOptions& options = {});
-
-/// Incremental producer of one rendered result body. The wire server
-/// pulls chunks as its write buffer drains, so a million-row RETRIEVE
-/// renders O(chunk) bytes at a time instead of one giant string.
-/// Concatenating every chunk yields exactly the bytes the buffered
-/// formatter produces — byte-identity is the contract streaming is
-/// tested against.
-class ChunkSource {
- public:
-  virtual ~ChunkSource() = default;
-
-  /// True once every byte has been produced.
-  virtual bool done() const = 0;
-
-  /// Produces the next chunk, at most ~`max_bytes` long (one line may
-  /// overshoot so progress is always made). Empty only when done().
-  virtual std::string Next(size_t max_bytes) = 0;
-
-  /// Exact size of the full rendering, known up front.
-  virtual size_t total_bytes() const = 0;
-};
-
-/// ChunkSource over an already-rendered body: bounds the *receiver's*
-/// frame sizes (and the sender's write buffer) when a formatter has no
-/// incremental form.
-class StringChunkSource : public ChunkSource {
- public:
-  explicit StringChunkSource(std::string body) : body_(std::move(body)) {}
-
-  bool done() const override { return pos_ == body_.size(); }
-  std::string Next(size_t max_bytes) override;
-  size_t total_bytes() const override { return body_.size(); }
-
- private:
-  std::string body_;
-  size_t pos_ = 0;
-};
 
 /// Incremental form of FormatTable: one pass over the records computes
 /// the column layout (widths only — no cell strings are kept), then

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 
+#include "kfs/formatter.h"
 #include "transform/abdm_mapping.h"
 
 namespace mlds::kms {
@@ -30,13 +31,6 @@ constexpr size_t kIsaFusionThreshold = 8;
 Predicate EqStr(std::string attribute, std::string_view value) {
   return Predicate{std::move(attribute), RelOp::kEq,
                    Value::String(std::string(value))};
-}
-
-abdl::RetrieveRequest RetrieveAll(Query query) {
-  abdl::RetrieveRequest req;
-  req.query = std::move(query);
-  req.all_attributes = true;
-  return req;
 }
 
 /// True when any of `values` satisfies `cmp`.
@@ -84,14 +78,22 @@ DaplexMachine::DaplexMachine(const daplex::FunctionalSchema* functional,
                              const network::Schema* schema,
                              const transform::FunNetMapping* mapping,
                              kc::KernelExecutor* executor)
-    : functional_(functional),
+    : LanguageInterface(executor),
+      functional_(functional),
       schema_(schema),
-      mapping_(mapping),
-      executor_(executor) {}
+      mapping_(mapping) {}
 
-Result<kds::Response> DaplexMachine::Issue(abdl::Request request) {
-  trace_.push_back(abdl::ToString(request));
-  return executor_->Execute(request);
+Result<Reply> DaplexMachine::Run(std::string_view text, bool explain) {
+  if (explain) {
+    return Status::Unimplemented(
+        "EXPLAIN is not supported for Daplex statements");
+  }
+  return Rendered(ExecuteStatement(text), kfs::FormatDaplexOutcome);
+}
+
+Result<Reply> DaplexMachine::RunBatch(std::string_view text,
+                                      const ParameterRows& rows) {
+  return Rendered(ExecuteBatch(text, rows), kfs::FormatDaplexOutcome);
 }
 
 std::vector<std::string> DaplexMachine::AncestorChain(
@@ -467,49 +469,11 @@ Result<std::vector<Record>> DaplexMachine::Execute(const ForEachQuery& query) {
 }
 
 Result<std::vector<Record>> DaplexMachine::ExecuteText(std::string_view text) {
-  if (cache_ != nullptr) {
-    MLDS_ASSIGN_OR_RETURN(
-        std::shared_ptr<const ForEachQuery> query,
-        cache_->GetOrCompile<ForEachQuery>(
-            "daplex", text, [&] { return daplex::ParseForEach(text); }));
-    return Execute(*query);
-  }
-  MLDS_ASSIGN_OR_RETURN(ForEachQuery query, daplex::ParseForEach(text));
-  return Execute(query);
-}
-
-Result<std::string> DaplexMachine::AllocateDbKey(std::string_view type) {
-  uint64_t next = executor_->FileSize(type) + 1;
-  while (true) {
-    std::string candidate = transform::MakeDbKey(type, next);
-    MLDS_ASSIGN_OR_RETURN(bool exists, EntityExists(type, candidate));
-    ++next;
-    if (!exists) return candidate;
-  }
-}
-
-Result<bool> DaplexMachine::EntityExists(std::string_view file,
-                                         std::string_view dbkey) {
-  abdl::RetrieveRequest probe;
-  probe.query = Query::And({EqStr(std::string(abdm::kFileAttribute), file),
-                            EqStr(KeyAttribute(file), dbkey)});
-  probe.targets = {abdl::TargetItem{KeyAttribute(file)}};
-  MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(probe));
-  return !resp.records.empty();
-}
-
-Result<std::vector<std::string>> DaplexMachine::AllocateDbKeys(
-    std::string_view type, size_t count) {
-  std::vector<std::string> keys;
-  keys.reserve(count);
-  uint64_t next = executor_->FileSize(type) + 1;
-  while (keys.size() < count) {
-    std::string candidate = transform::MakeDbKey(type, next);
-    MLDS_ASSIGN_OR_RETURN(bool exists, EntityExists(type, candidate));
-    ++next;
-    if (!exists) keys.push_back(std::move(candidate));
-  }
-  return keys;
+  MLDS_ASSIGN_OR_RETURN(
+      std::shared_ptr<const ForEachQuery> query,
+      Translate<ForEachQuery>(
+          "daplex", text, [&] { return daplex::ParseForEach(text); }));
+  return Execute(*query);
 }
 
 Result<Record> DaplexMachine::BuildCreateRecord(
@@ -548,7 +512,7 @@ Result<Record> DaplexMachine::BuildCreateRecord(
                                        "' must be a database key string");
       }
       MLDS_ASSIGN_OR_RETURN(bool exists,
-                            EntityExists(fn_name, value.AsString()));
+                            RecordExists(fn_name, value.AsString()));
       if (!exists) {
         return Status::NotFound("CREATE " + type + ": supertype entity '" +
                                 value.AsString() + "' does not exist");
@@ -582,7 +546,7 @@ Result<Record> DaplexMachine::BuildCreateRecord(
                                            "' takes a database key string");
           }
           MLDS_ASSIGN_OR_RETURN(bool exists,
-                                EntityExists(fn->target, value.AsString()));
+                                RecordExists(fn->target, value.AsString()));
           if (!exists) {
             return Status::NotFound("CREATE " + type + ": '" +
                                     value.AsString() + "' does not exist in '" +
@@ -694,7 +658,7 @@ Result<DaplexMachine::Outcome> DaplexMachine::Create(
         "CREATE " + statement.type + ": parameter markers ('?') require the "
         "batch interface, which binds one value per marker per row");
   }
-  MLDS_ASSIGN_OR_RETURN(std::string dbkey, AllocateDbKey(statement.type));
+  MLDS_ASSIGN_OR_RETURN(std::string dbkey, AllocateKey(statement.type));
   MLDS_ASSIGN_OR_RETURN(Record record,
                         BuildCreateRecord(statement, nullptr, dbkey));
   MLDS_ASSIGN_OR_RETURN(kds::Response resp,
@@ -711,54 +675,42 @@ Result<DaplexMachine::Outcome> DaplexMachine::ExecuteBatch(
     std::string_view text, const std::vector<std::vector<abdm::Value>>& rows,
     const abdl::BatchLimits& limits) {
   trace_.clear();
-  if (rows.empty()) {
-    return Status::InvalidArgument("CREATE batch carries no rows");
-  }
   std::shared_ptr<const daplex::DaplexStatement> stmt;
-  if (cache_ != nullptr) {
+  const daplex::CreateStatement* create = nullptr;
+  auto prepare = [&]() -> Result<size_t> {
     MLDS_ASSIGN_OR_RETURN(
-        stmt, cache_->GetOrCompile<daplex::DaplexStatement>(
+        stmt, Translate<daplex::DaplexStatement>(
                   "daplex-stmt", text,
                   [&] { return daplex::ParseDaplexStatement(text); }));
-  } else {
-    MLDS_ASSIGN_OR_RETURN(daplex::DaplexStatement parsed,
-                          daplex::ParseDaplexStatement(text));
-    stmt = std::make_shared<const daplex::DaplexStatement>(std::move(parsed));
-  }
-  const auto* create = std::get_if<daplex::CreateStatement>(stmt.get());
-  if (create == nullptr || !create->parameterized()) {
-    return Status::InvalidArgument(
-        "batch execution requires a parameterized CREATE template "
-        "(CREATE type (fn = ?, ...))");
-  }
-  size_t params_per_row = 0;
-  for (uint8_t m : create->param_mask) {
-    if (m != 0) ++params_per_row;
-  }
-  const size_t chunk = abdl::EffectiveBatchSize(limits, params_per_row);
+    create = std::get_if<daplex::CreateStatement>(stmt.get());
+    if (create == nullptr || !create->parameterized()) {
+      return Status::InvalidArgument(
+          "batch execution requires a parameterized CREATE template "
+          "(CREATE type (fn = ?, ...))");
+    }
+    size_t params_per_row = 0;
+    for (uint8_t m : create->param_mask) {
+      if (m != 0) ++params_per_row;
+    }
+    return params_per_row;
+  };
   Outcome outcome;
-  for (size_t begin = 0; begin < rows.size(); begin += chunk) {
-    const size_t end = std::min(begin + chunk, rows.size());
+  auto run = [&](size_t begin, size_t end) -> Status {
     MLDS_ASSIGN_OR_RETURN(std::vector<std::string> keys,
-                          AllocateDbKeys(create->type, end - begin));
+                          AllocateKeys(create->type, end - begin));
     std::vector<Record> records;
     records.reserve(end - begin);
     for (size_t i = begin; i < end; ++i) {
-      if (rows[i].size() != params_per_row) {
-        return Status::InvalidArgument(
-            "CREATE batch row " + std::to_string(i) + " carries " +
-            std::to_string(rows[i].size()) + " value(s); the template has " +
-            std::to_string(params_per_row) + " parameter(s)");
-      }
       MLDS_ASSIGN_OR_RETURN(
           Record record, BuildCreateRecord(*create, &rows[i], keys[i - begin]));
       records.push_back(std::move(record));
     }
-    MLDS_ASSIGN_OR_RETURN(kds::Response resp,
-                          Issue(abdl::BatchInsertRequest{std::move(records)}));
-    (void)resp;
+    MLDS_RETURN_IF_ERROR(
+        Issue(abdl::BatchInsertRequest{std::move(records)}).status());
     outcome.affected += end - begin;
-  }
+    return Status::OK();
+  };
+  MLDS_RETURN_IF_ERROR(ForEachChunk("CREATE", rows, limits, prepare, run));
   outcome.info = "created " + std::to_string(outcome.affected) + " entities";
   return outcome;
 }
@@ -877,7 +829,7 @@ Result<DaplexMachine::Outcome> DaplexMachine::Update(
                                            "' takes a database key string");
           }
           MLDS_ASSIGN_OR_RETURN(bool exists,
-                                EntityExists(fn->target, value.AsString()));
+                                RecordExists(fn->target, value.AsString()));
           if (!exists) {
             return Status::NotFound("UPDATE " + type + ": '" +
                                     value.AsString() + "' does not exist in '" +

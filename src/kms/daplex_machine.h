@@ -13,7 +13,7 @@
 #include "daplex/query.h"
 #include "daplex/schema.h"
 #include "kc/executor.h"
-#include "kms/translation_cache.h"
+#include "kms/language_interface.h"
 #include "network/schema.h"
 #include "transform/fun_to_net.h"
 
@@ -34,7 +34,11 @@ namespace mlds::kms {
 ///    many-to-many functions (the related entities' keys, via the link
 ///    file);
 ///  - aggregates (COUNT/AVG/MIN/MAX/SUM) over the selected entities.
-class DaplexMachine {
+///
+/// Daplex queries resolve against live entities (ISA chains, duplicated
+/// records), so the translation cache holds parsed ASTs; translation
+/// re-runs per execution.
+class DaplexMachine : public LanguageInterface {
  public:
   /// All pointees must outlive the machine.
   DaplexMachine(const daplex::FunctionalSchema* functional,
@@ -42,11 +46,9 @@ class DaplexMachine {
                 const transform::FunNetMapping* mapping,
                 kc::KernelExecutor* executor);
 
-  DaplexMachine(const DaplexMachine&) = delete;
-  DaplexMachine& operator=(const DaplexMachine&) = delete;
-
-  /// Degraded-mode status of the kernel this session executes against.
-  kc::KernelHealth Health() const { return executor_->Health(); }
+  Result<Reply> Run(std::string_view text, bool explain) override;
+  Result<Reply> RunBatch(std::string_view text,
+                         const ParameterRows& rows) override;
 
   /// Outcome of a Daplex DML statement (CREATE / DESTROY / FOR EACH).
   struct Outcome {
@@ -90,11 +92,6 @@ class DaplexMachine {
       std::string_view text, const std::vector<std::vector<abdm::Value>>& rows,
       const abdl::BatchLimits& limits = {});
 
-  /// Attaches the shared compiled-translation cache. Daplex queries
-  /// resolve against live entities (ISA chains, duplicated records), so
-  /// parsed query ASTs cache; translation re-runs per execution.
-  void set_translation_cache(TranslationCache* cache) { cache_ = cache; }
-
   /// ABDL requests issued by the most recent query, in issue order.
   const std::vector<std::string>& trace() const { return trace_; }
 
@@ -120,8 +117,6 @@ class DaplexMachine {
     bool is_key = false;
   };
 
-  Result<kds::Response> Issue(abdl::Request request);
-
   /// The queried type's ISA ancestor chain (nearest first, deduplicated).
   std::vector<std::string> AncestorChain(std::string_view type) const;
 
@@ -142,14 +137,6 @@ class DaplexMachine {
   Status AbsorbManyToMany(const daplex::Function& fn,
                           std::map<std::string, EntityView>* views);
 
-  /// Allocates a fresh database key for `type` by probing the kernel.
-  Result<std::string> AllocateDbKey(std::string_view type);
-
-  /// Allocates `count` fresh database keys, probing each candidate so the
-  /// keys are free even before any of the batch's records insert.
-  Result<std::vector<std::string>> AllocateDbKeys(std::string_view type,
-                                                  size_t count);
-
   /// The record-construction half of CREATE: validates every assignment
   /// (supertype keys, referential integrity, function class), enforces
   /// the overlap table and uniqueness constraints, and fills the
@@ -159,9 +146,6 @@ class DaplexMachine {
   Result<abdm::Record> BuildCreateRecord(
       const daplex::CreateStatement& statement,
       const std::vector<abdm::Value>* row, const std::string& dbkey);
-
-  /// True when a record of `file` with key `dbkey` exists.
-  Result<bool> EntityExists(std::string_view file, std::string_view dbkey);
 
   /// Aborts when the entity `dbkey` of `type` is referenced by a Daplex
   /// function (member records of its owned non-ISA sets, owner-side
@@ -176,9 +160,6 @@ class DaplexMachine {
   const daplex::FunctionalSchema* functional_;
   const network::Schema* schema_;
   const transform::FunNetMapping* mapping_;
-  kc::KernelExecutor* executor_;
-  TranslationCache* cache_ = nullptr;
-  std::vector<std::string> trace_;
 };
 
 }  // namespace mlds::kms

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "common/strings.h"
+#include "kfs/formatter.h"
 #include "transform/abdm_mapping.h"
 
 namespace mlds::kms {
@@ -23,13 +24,6 @@ using transform::KeyAttribute;
 Predicate FilePred(std::string_view segment) {
   return Predicate{std::string(abdm::kFileAttribute), RelOp::kEq,
                    Value::String(std::string(segment))};
-}
-
-abdl::RetrieveRequest RetrieveAll(Query query) {
-  abdl::RetrieveRequest req;
-  req.query = std::move(query);
-  req.all_attributes = true;
-  return req;
 }
 
 // --- DL/I call parsing ---
@@ -226,11 +220,18 @@ Result<DliCall> ParseDliCall(std::string_view text) {
 
 DliMachine::DliMachine(const hierarchical::Schema* schema,
                        kc::KernelExecutor* executor)
-    : schema_(schema), executor_(executor) {}
+    : LanguageInterface(executor), schema_(schema) {}
 
-Result<kds::Response> DliMachine::Issue(abdl::Request request) {
-  trace_.push_back(abdl::ToString(request));
-  return executor_->Execute(request);
+Result<Reply> DliMachine::Run(std::string_view text, bool explain) {
+  if (explain) {
+    return Status::Unimplemented("EXPLAIN is not supported for DL/I calls");
+  }
+  return Rendered(ExecuteText(text), kfs::FormatDliOutcome);
+}
+
+Result<Reply> DliMachine::RunBatch(std::string_view text,
+                                   const ParameterRows& rows) {
+  return Rendered(ExecuteBatch(text, rows), kfs::FormatDliOutcome);
 }
 
 std::string DliMachine::PositionDescription() const {
@@ -258,14 +259,10 @@ Result<DliMachine::Outcome> DliMachine::Execute(const DliCall& call) {
 }
 
 Result<DliMachine::Outcome> DliMachine::ExecuteText(std::string_view text) {
-  if (cache_ != nullptr) {
-    MLDS_ASSIGN_OR_RETURN(std::shared_ptr<const DliCall> call,
-                          cache_->GetOrCompile<DliCall>(
-                              "dli", text, [&] { return ParseDliCall(text); }));
-    return Execute(*call);
-  }
-  MLDS_ASSIGN_OR_RETURN(DliCall call, ParseDliCall(text));
-  return Execute(call);
+  MLDS_ASSIGN_OR_RETURN(std::shared_ptr<const DliCall> call,
+                        Translate<DliCall>(
+                            "dli", text, [&] { return ParseDliCall(text); }));
+  return Execute(*call);
 }
 
 Result<std::vector<DliMachine::Outcome>> DliMachine::RunProgram(
@@ -469,40 +466,6 @@ Result<DliMachine::Outcome> DliMachine::Gnp(const DliCall& call) {
   return TakeFirst(child->name, std::move(children));
 }
 
-Result<std::string> DliMachine::AllocateKey(std::string_view segment) {
-  uint64_t next = executor_->FileSize(segment) + 1;
-  while (true) {
-    std::string candidate = transform::MakeDbKey(segment, next);
-    abdl::RetrieveRequest probe;
-    probe.query = Query::And(
-        {FilePred(segment), Predicate{KeyAttribute(segment), RelOp::kEq,
-                                      Value::String(candidate)}});
-    probe.targets = {abdl::TargetItem{KeyAttribute(segment)}};
-    MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(probe));
-    ++next;
-    if (resp.records.empty()) return candidate;
-  }
-}
-
-Result<std::vector<std::string>> DliMachine::AllocateKeys(
-    std::string_view segment, size_t count) {
-  std::vector<std::string> keys;
-  keys.reserve(count);
-  uint64_t next = executor_->FileSize(segment) + 1;
-  while (keys.size() < count) {
-    std::string candidate = transform::MakeDbKey(segment, next);
-    abdl::RetrieveRequest probe;
-    probe.query = Query::And(
-        {FilePred(segment), Predicate{KeyAttribute(segment), RelOp::kEq,
-                                      Value::String(candidate)}});
-    probe.targets = {abdl::TargetItem{KeyAttribute(segment)}};
-    MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(probe));
-    ++next;
-    if (resp.records.empty()) keys.push_back(std::move(candidate));
-  }
-  return keys;
-}
-
 Result<Record> DliMachine::BuildIsrtRecord(const Segment& segment,
                                            const Ssa& ssa,
                                            const std::vector<Value>* row,
@@ -575,60 +538,50 @@ Result<DliMachine::Outcome> DliMachine::ExecuteBatch(
     std::string_view text, const std::vector<std::vector<Value>>& rows,
     const abdl::BatchLimits& limits) {
   trace_.clear();
-  if (rows.empty()) {
-    return Status::InvalidArgument("ISRT batch carries no rows");
-  }
   std::shared_ptr<const DliCall> call;
-  if (cache_ != nullptr) {
-    MLDS_ASSIGN_OR_RETURN(call, cache_->GetOrCompile<DliCall>(
-                                    "dli", text,
-                                    [&] { return ParseDliCall(text); }));
-  } else {
-    MLDS_ASSIGN_OR_RETURN(DliCall parsed, ParseDliCall(text));
-    call = std::make_shared<const DliCall>(std::move(parsed));
-  }
-  if (call->function != DliCall::Function::kIsrt || !call->parameterized()) {
-    return Status::InvalidArgument(
-        "batch execution requires a parameterized ISRT template "
-        "(ISRT seg (field = ?, ...))");
-  }
-  if (call->ssas.size() != 1) {
-    return Status::InvalidArgument("ISRT takes exactly one segment");
-  }
-  const Ssa& ssa = call->ssas[0];
-  const Segment* segment = schema_->FindSegment(ssa.segment);
-  if (segment == nullptr) {
-    return Status::NotFound("segment '" + ssa.segment + "' is not declared");
-  }
-  size_t params_per_row = 0;
-  for (uint8_t m : ssa.param_mask) {
-    if (m != 0) ++params_per_row;
-  }
-  const size_t chunk = abdl::EffectiveBatchSize(limits, params_per_row);
+  const Segment* segment = nullptr;
+  auto prepare = [&]() -> Result<size_t> {
+    MLDS_ASSIGN_OR_RETURN(call, Translate<DliCall>("dli", text, [&] {
+                            return ParseDliCall(text);
+                          }));
+    if (call->function != DliCall::Function::kIsrt || !call->parameterized()) {
+      return Status::InvalidArgument(
+          "batch execution requires a parameterized ISRT template "
+          "(ISRT seg (field = ?, ...))");
+    }
+    if (call->ssas.size() != 1) {
+      return Status::InvalidArgument("ISRT takes exactly one segment");
+    }
+    segment = schema_->FindSegment(call->ssas[0].segment);
+    if (segment == nullptr) {
+      return Status::NotFound("segment '" + call->ssas[0].segment +
+                              "' is not declared");
+    }
+    size_t params_per_row = 0;
+    for (uint8_t m : call->ssas[0].param_mask) {
+      if (m != 0) ++params_per_row;
+    }
+    return params_per_row;
+  };
   Outcome outcome;
-  for (size_t begin = 0; begin < rows.size(); begin += chunk) {
-    const size_t end = std::min(begin + chunk, rows.size());
+  auto run = [&](size_t begin, size_t end) -> Status {
     MLDS_ASSIGN_OR_RETURN(std::vector<std::string> keys,
                           AllocateKeys(segment->name, end - begin));
     std::vector<Record> records;
     records.reserve(end - begin);
     for (size_t i = begin; i < end; ++i) {
-      if (rows[i].size() != params_per_row) {
-        return Status::InvalidArgument(
-            "ISRT batch row " + std::to_string(i) + " carries " +
-            std::to_string(rows[i].size()) + " value(s); the template has " +
-            std::to_string(params_per_row) + " parameter(s)");
-      }
       MLDS_ASSIGN_OR_RETURN(
           Record record,
-          BuildIsrtRecord(*segment, ssa, &rows[i], keys[i - begin]));
+          BuildIsrtRecord(*segment, call->ssas[0], &rows[i], keys[i - begin]));
       records.push_back(std::move(record));
     }
     position_ = Position{segment->name, keys.back(), records.back()};
     MLDS_ASSIGN_OR_RETURN(kds::Response resp,
                           Issue(abdl::BatchInsertRequest{std::move(records)}));
     outcome.affected += resp.affected;
-  }
+    return Status::OK();
+  };
+  MLDS_RETURN_IF_ERROR(ForEachChunk("ISRT", rows, limits, prepare, run));
   outcome.info = "inserted " + std::to_string(outcome.affected) + " segment(s)";
   return outcome;
 }

@@ -13,7 +13,7 @@
 #include "common/result.h"
 #include "hierarchical/schema.h"
 #include "kc/executor.h"
-#include "kms/translation_cache.h"
+#include "kms/language_interface.h"
 
 namespace mlds::kms {
 
@@ -73,15 +73,17 @@ Result<DliCall> ParseDliCall(std::string_view text);
 ///  - ISRT inserts under the anchored parent (root segments need none);
 ///  - REPL updates fields of the current segment; DLET deletes the
 ///    current segment together with its entire dependent subtree.
-class DliMachine {
+///
+/// DL/I translation depends on position state, so the translation cache
+/// holds parsed calls; a call's ABDL requests are re-derived against the
+/// live position each execution.
+class DliMachine : public LanguageInterface {
  public:
   DliMachine(const hierarchical::Schema* schema, kc::KernelExecutor* executor);
 
-  DliMachine(const DliMachine&) = delete;
-  DliMachine& operator=(const DliMachine&) = delete;
-
-  /// Degraded-mode status of the kernel this session executes against.
-  kc::KernelHealth Health() const { return executor_->Health(); }
+  Result<Reply> Run(std::string_view text, bool explain) override;
+  Result<Reply> RunBatch(std::string_view text,
+                         const ParameterRows& rows) override;
 
   struct Outcome {
     std::vector<abdm::Record> segments;  ///< the retrieved segment (GU/GN).
@@ -104,11 +106,6 @@ class DliMachine {
       std::string_view text, const std::vector<std::vector<abdm::Value>>& rows,
       const abdl::BatchLimits& limits = {});
 
-  /// Attaches the shared compiled-translation cache. DL/I translation
-  /// depends on position state, so parsed calls cache; the call's ABDL
-  /// requests are re-derived against the live position each execution.
-  void set_translation_cache(TranslationCache* cache) { cache_ = cache; }
-
   /// ABDL requests issued by the most recent call.
   const std::vector<std::string>& trace() const { return trace_; }
 
@@ -129,8 +126,6 @@ class DliMachine {
   Result<Outcome> Repl(const DliCall& call);
   Result<Outcome> Dlet();
 
-  Result<kds::Response> Issue(abdl::Request request);
-
   /// Fetches segments of `segment` matching `quals`, restricted to the
   /// given parent keys when non-empty; sorted by key.
   Result<std::vector<abdm::Record>> FetchLevel(
@@ -148,13 +143,6 @@ class DliMachine {
   Status DeleteSubtree(const hierarchical::Segment& segment,
                        const std::string& key, size_t* deleted);
 
-  Result<std::string> AllocateKey(std::string_view segment);
-
-  /// Allocates `count` fresh segment keys, probing each candidate so the
-  /// keys are free even before any of the batch's records insert.
-  Result<std::vector<std::string>> AllocateKeys(std::string_view segment,
-                                                size_t count);
-
   /// The record-construction half of ISRT: validates the field list,
   /// resolves the parent key, and stamps `key`. `row` supplies the values
   /// bound to `?` markers in qualification order (null for a literal
@@ -165,9 +153,6 @@ class DliMachine {
                                        const std::string& key);
 
   const hierarchical::Schema* schema_;
-  kc::KernelExecutor* executor_;
-  TranslationCache* cache_ = nullptr;
-  std::vector<std::string> trace_;
 
   std::optional<Position> position_;
   std::optional<Position> anchor_;  ///< parent anchor for GNP/ISRT.

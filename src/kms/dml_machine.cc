@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "codasyl/parser.h"
+#include "kfs/formatter.h"
 #include "transform/abdm_mapping.h"
 
 namespace mlds::kms {
@@ -38,14 +39,6 @@ Predicate EqStr(std::string attribute, std::string_view value) {
   return Eq(std::move(attribute), Value::String(std::string(value)));
 }
 
-/// RETRIEVE (query) (all attributes) — the workhorse auxiliary retrieve.
-RetrieveRequest RetrieveAll(Query query) {
-  RetrieveRequest req;
-  req.query = std::move(query);
-  req.all_attributes = true;
-  return req;
-}
-
 std::string KeyOf(std::string_view record_type, const Record& record) {
   return record.GetOrNull(KeyAttribute(record_type)).ToDisplayString();
 }
@@ -76,27 +69,27 @@ void SortSetMembers(const SetType& set, std::string_view record_type,
 
 }  // namespace
 
-std::string SessionStats::ToString() const {
-  std::string out = "statements: " + std::to_string(total_statements) +
-                    ", ABDL requests: " + std::to_string(total_requests) +
-                    "\n";
-  for (const auto& [kind, count] : statements) {
-    out += "  " + kind + ": " + std::to_string(count) + "\n";
-  }
-  for (const auto& [op, count] : abdl_requests) {
-    out += "  ABDL " + op + ": " + std::to_string(count) + "\n";
-  }
-  return out;
-}
-
 DmlMachine::DmlMachine(const network::Schema* schema,
                        const transform::FunNetMapping* mapping,
                        kc::KernelExecutor* executor)
-    : schema_(schema), mapping_(mapping), executor_(executor) {}
+    : LanguageInterface(executor), schema_(schema), mapping_(mapping) {}
+
+Result<Reply> DmlMachine::Run(std::string_view text, bool explain) {
+  return Rendered(ExecuteText(WithExplainPrefix(text, explain)),
+                  kfs::FormatDmlResult);
+}
+
+Result<Reply> DmlMachine::RunBatch(std::string_view text,
+                                   const ParameterRows& rows) {
+  return Rendered(ExecuteBatch(text, rows), kfs::FormatDmlResult);
+}
+
+void DmlMachine::RecordTranslation(std::string dml) {
+  translations_.push_back(TraceEntry{std::move(dml), std::move(trace_)});
+  trace_.clear();
+}
 
 Result<DmlResult> DmlMachine::Execute(const codasyl::Statement& statement) {
-  trace_.push_back(TraceEntry{
-      (explain_ ? "EXPLAIN " : "") + codasyl::ToString(statement), {}});
   struct Visitor {
     DmlMachine* self;
     Result<DmlResult> operator()(const codasyl::MoveStatement& s) {
@@ -147,8 +140,10 @@ Result<DmlResult> DmlMachine::Execute(const codasyl::Statement& statement) {
     }
   };
   auto result = std::visit(Visitor{this}, statement);
+  RecordTranslation((explaining() ? "EXPLAIN " : "") +
+                    codasyl::ToString(statement));
   if (result.ok()) {
-    result->abdl_requests = trace_.back().abdl.size();
+    result->abdl_requests = translations_.back().abdl.size();
     stats_.statements[std::string(codasyl::StatementKind(statement))] += 1;
     stats_.total_statements += 1;
   }
@@ -158,43 +153,27 @@ Result<DmlResult> DmlMachine::Execute(const codasyl::Statement& statement) {
 Result<DmlResult> DmlMachine::Execute(
     const codasyl::ParsedStatement& statement) {
   if (!statement.explain) return Execute(statement.statement);
-  explain_ = true;
-  explain_plans_.clear();
+  BeginExplain();
   auto result = Execute(statement.statement);
-  explain_ = false;
-  if (result.ok()) {
-    result->plan = kds::SequencePlans(std::move(explain_plans_));
-  }
-  explain_plans_.clear();
+  std::shared_ptr<const kds::PlanNode> plan = EndExplain();
+  if (result.ok()) result->plan = std::move(plan);
   return result;
 }
 
 Result<DmlResult> DmlMachine::ExecuteText(std::string_view text) {
-  if (cache_ != nullptr) {
-    MLDS_ASSIGN_OR_RETURN(
-        std::shared_ptr<const codasyl::ParsedStatement> stmt,
-        cache_->GetOrCompile<codasyl::ParsedStatement>(
-            "dml", text, [&] { return codasyl::ParseDmlStatement(text); }));
-    return Execute(*stmt);
-  }
-  MLDS_ASSIGN_OR_RETURN(codasyl::ParsedStatement stmt,
-                        codasyl::ParseDmlStatement(text));
-  return Execute(stmt);
+  MLDS_ASSIGN_OR_RETURN(
+      std::shared_ptr<const codasyl::ParsedStatement> stmt,
+      Translate<codasyl::ParsedStatement>(
+          "dml", text, [&] { return codasyl::ParseDmlStatement(text); }));
+  return Execute(*stmt);
 }
 
 Result<std::vector<DmlResult>> DmlMachine::RunProgram(std::string_view text) {
-  std::shared_ptr<const std::vector<codasyl::ParsedStatement>> program;
-  if (cache_ != nullptr) {
-    MLDS_ASSIGN_OR_RETURN(
-        program, cache_->GetOrCompile<std::vector<codasyl::ParsedStatement>>(
-                     "dml-program", text,
-                     [&] { return codasyl::ParseDmlProgram(text); }));
-  } else {
-    MLDS_ASSIGN_OR_RETURN(std::vector<codasyl::ParsedStatement> parsed,
-                          codasyl::ParseDmlProgram(text));
-    program = std::make_shared<const std::vector<codasyl::ParsedStatement>>(
-        std::move(parsed));
-  }
+  MLDS_ASSIGN_OR_RETURN(
+      std::shared_ptr<const std::vector<codasyl::ParsedStatement>> program,
+      Translate<std::vector<codasyl::ParsedStatement>>(
+          "dml-program", text,
+          [&] { return codasyl::ParseDmlProgram(text); }));
   std::vector<DmlResult> results;
   results.reserve(program->size());
   for (const auto& stmt : *program) {
@@ -207,69 +186,57 @@ Result<std::vector<DmlResult>> DmlMachine::RunProgram(std::string_view text) {
 Result<DmlResult> DmlMachine::ExecuteBatch(
     std::string_view text, const std::vector<std::vector<abdm::Value>>& rows,
     const abdl::BatchLimits& limits) {
-  if (rows.empty()) {
-    return Status::InvalidArgument("STORE batch carries no rows");
-  }
   std::shared_ptr<const codasyl::ParsedStatement> stmt;
-  if (cache_ != nullptr) {
+  const codasyl::StoreStatement* store = nullptr;
+  const network::RecordType* rt = nullptr;
+  auto prepare = [&]() -> Result<size_t> {
     MLDS_ASSIGN_OR_RETURN(
-        stmt, cache_->GetOrCompile<codasyl::ParsedStatement>(
+        stmt, Translate<codasyl::ParsedStatement>(
                   "dml", text,
                   [&] { return codasyl::ParseDmlStatement(text); }));
-  } else {
-    MLDS_ASSIGN_OR_RETURN(codasyl::ParsedStatement parsed,
-                          codasyl::ParseDmlStatement(text));
-    stmt = std::make_shared<const codasyl::ParsedStatement>(std::move(parsed));
-  }
-  const auto* store = std::get_if<codasyl::StoreStatement>(&stmt->statement);
-  if (store == nullptr || !store->parameterized()) {
-    return Status::InvalidArgument(
-        "batch execution requires a parameterized STORE template "
-        "(STORE rec (item = ?, ...))");
-  }
-  MLDS_ASSIGN_OR_RETURN(const network::RecordType* rt,
-                        RequireRecord(store->record));
-  size_t params_per_row = 0;
-  for (const auto& a : store->assignments) {
-    if (a.is_param) ++params_per_row;
-  }
-  trace_.push_back(TraceEntry{codasyl::ToString(stmt->statement) + " [" +
-                                  std::to_string(rows.size()) + " rows]",
-                              {}});
-  const size_t chunk = abdl::EffectiveBatchSize(limits, params_per_row);
-  std::vector<BuiltStore> built;
-  for (size_t begin = 0; begin < rows.size(); begin += chunk) {
-    const size_t end = std::min(begin + chunk, rows.size());
-    built.clear();
+    store = std::get_if<codasyl::StoreStatement>(&stmt->statement);
+    if (store == nullptr || !store->parameterized()) {
+      return Status::InvalidArgument(
+          "batch execution requires a parameterized STORE template "
+          "(STORE rec (item = ?, ...))");
+    }
+    MLDS_ASSIGN_OR_RETURN(rt, RequireRecord(store->record));
+    size_t params_per_row = 0;
+    for (const auto& a : store->assignments) {
+      if (a.is_param) ++params_per_row;
+    }
+    return params_per_row;
+  };
+  auto run = [&](size_t begin, size_t end) -> Status {
+    std::vector<BuiltStore> built;
     built.reserve(end - begin);
     std::vector<Record> records;
     records.reserve(end - begin);
     for (size_t i = begin; i < end; ++i) {
-      const std::vector<Value>& row = rows[i];
-      if (row.size() != params_per_row) {
-        return Status::InvalidArgument(
-            "STORE batch row " + std::to_string(i) + " carries " +
-            std::to_string(row.size()) + " value(s); the template has " +
-            std::to_string(params_per_row) + " parameter(s)");
-      }
       size_t next_param = 0;
       for (const auto& a : store->assignments) {
         uwa_.Move(store->record, a.item,
-                  a.is_param ? row[next_param++] : a.value);
+                  a.is_param ? rows[i][next_param++] : a.value);
       }
       MLDS_ASSIGN_OR_RETURN(BuiltStore one, BuildStoreRecord(*rt));
       records.push_back(one.record);
       built.push_back(std::move(one));
     }
-    MLDS_ASSIGN_OR_RETURN(kds::Response resp,
-                          Issue(abdl::BatchInsertRequest{std::move(records)}));
-    (void)resp;
+    MLDS_RETURN_IF_ERROR(
+        Issue(abdl::BatchInsertRequest{std::move(records)}).status());
     for (const BuiltStore& one : built) {
       CommitStoreCurrencies(store->record, one);
     }
+    return Status::OK();
+  };
+  const Status status = ForEachChunk("STORE", rows, limits, prepare, run);
+  if (rt != nullptr) {
+    RecordTranslation(codasyl::ToString(stmt->statement) + " [" +
+                      std::to_string(rows.size()) + " rows]");
   }
+  MLDS_RETURN_IF_ERROR(status);
   DmlResult result;
-  result.abdl_requests = trace_.back().abdl.size();
+  result.abdl_requests = translations_.back().abdl.size();
   stats_.statements["STORE"] += 1;
   stats_.total_statements += 1;
   result.info = "stored " + std::to_string(rows.size()) + " record(s)";
@@ -277,18 +244,6 @@ Result<DmlResult> DmlMachine::ExecuteBatch(
 }
 
 // --- Shared machinery ---
-
-Result<kds::Response> DmlMachine::Issue(abdl::Request request) {
-  if (explain_) abdl::SetExplain(request, true);
-  trace_.back().abdl.push_back(abdl::ToString(request));
-  stats_.abdl_requests[std::string(abdl::RequestOperation(request))] += 1;
-  stats_.total_requests += 1;
-  auto response = executor_->Execute(request);
-  if (explain_ && response.ok() && response->plan != nullptr) {
-    explain_plans_.push_back(response->plan);
-  }
-  return response;
-}
 
 Result<const SetType*> DmlMachine::RequireSet(std::string_view set) const {
   const SetType* found = schema_->FindSet(set);
@@ -446,24 +401,6 @@ Result<std::string> DmlMachine::RequireSetOwner(std::string_view set) const {
                                  "' has no current owner");
   }
   return currency->owner_dbkey;
-}
-
-Result<std::string> DmlMachine::AllocateDbKey(std::string_view record) {
-  uint64_t next = next_key_[std::string(record)];
-  if (next == 0) next = executor_->FileSize(record) + 1;
-  while (true) {
-    std::string candidate = transform::MakeDbKey(record, next);
-    RetrieveRequest probe;
-    probe.query = Query::And({EqStr(std::string(abdm::kFileAttribute), record),
-                              EqStr(KeyAttribute(record), candidate)});
-    probe.targets = {abdl::TargetItem{KeyAttribute(record)}};
-    MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(probe));
-    ++next;
-    if (resp.records.empty()) {
-      next_key_[std::string(record)] = next;
-      return candidate;
-    }
-  }
 }
 
 Status DmlMachine::CheckDuplicates(const network::RecordType& record,
@@ -813,7 +750,7 @@ Result<DmlResult> DmlMachine::Get(const codasyl::GetStatement& s) {
 Result<DmlMachine::BuiltStore> DmlMachine::BuildStoreRecord(
     const network::RecordType& rt) {
   const std::string& name = rt.name;
-  MLDS_ASSIGN_OR_RETURN(std::string dbkey, AllocateDbKey(name));
+  MLDS_ASSIGN_OR_RETURN(std::string dbkey, AllocateKey(name, &next_key_[name]));
 
   Record record;
   record.Set(std::string(abdm::kFileAttribute), Value::String(name));

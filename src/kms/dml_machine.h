@@ -16,7 +16,7 @@
 #include "codasyl/uwa.h"
 #include "common/result.h"
 #include "kc/executor.h"
-#include "kms/translation_cache.h"
+#include "kms/language_interface.h"
 #include "network/schema.h"
 #include "transform/fun_to_net.h"
 
@@ -45,18 +45,6 @@ struct TraceEntry {
   std::vector<std::string> abdl;
 };
 
-/// Per-session translation statistics: how many statements of each kind
-/// ran and how many ABDL requests of each operation they generated — the
-/// session-level view of the one-to-many correspondence (Ch. III.A).
-struct SessionStats {
-  std::map<std::string, size_t> statements;     ///< by DML statement kind.
-  std::map<std::string, size_t> abdl_requests;  ///< by ABDL operation.
-  size_t total_statements = 0;
-  size_t total_requests = 0;
-
-  std::string ToString() const;
-};
-
 /// The Kernel Mapping Subsystem's CODASYL-DML translator fused with the
 /// Kernel Controller's execution state. It parses nothing itself — it
 /// receives statement ASTs — and implements the Chapter VI translation
@@ -72,7 +60,11 @@ struct SessionStats {
 ///    owner-side vs member-side) alters the CONNECT / DISCONNECT / STORE /
 ///    ERASE translations and enforces the Daplex-imposed constraints
 ///    (automatic-insertion sets, overlap table, reference checks).
-class DmlMachine {
+///
+/// DML translation is stateful (currency, UWA), so the translation cache
+/// holds only parsed statement ASTs — the Chapter VI algorithms still run
+/// against live session state.
+class DmlMachine : public LanguageInterface {
  public:
   /// `schema`, `mapping` (may be null), and `executor` must outlive the
   /// machine.
@@ -80,13 +72,9 @@ class DmlMachine {
              const transform::FunNetMapping* mapping,
              kc::KernelExecutor* executor);
 
-  DmlMachine(const DmlMachine&) = delete;
-  DmlMachine& operator=(const DmlMachine&) = delete;
-
-  /// Degraded-mode status of the kernel this session executes against:
-  /// every language interface can tell its user when results may be
-  /// partial because a backend is quarantined.
-  kc::KernelHealth Health() const { return executor_->Health(); }
+  Result<Reply> Run(std::string_view text, bool explain) override;
+  Result<Reply> RunBatch(std::string_view text,
+                         const ParameterRows& rows) override;
 
   /// Executes one statement, updating currency and buffers.
   Result<DmlResult> Execute(const codasyl::Statement& statement);
@@ -113,20 +101,12 @@ class DmlMachine {
       std::string_view text, const std::vector<std::vector<abdm::Value>>& rows,
       const abdl::BatchLimits& limits = {});
 
-  /// Attaches the shared compiled-translation cache. DML translation is
-  /// stateful (currency, UWA), so only parsed statement ASTs cache — the
-  /// Chapter VI algorithms still run against live session state.
-  void set_translation_cache(TranslationCache* cache) { cache_ = cache; }
-
   const codasyl::UserWorkArea& uwa() const { return uwa_; }
   const codasyl::CurrencyIndicatorTable& cit() const { return cit_; }
 
   /// The cumulative DML -> ABDL translation trace.
-  const std::vector<TraceEntry>& trace() const { return trace_; }
-  void ClearTrace() { trace_.clear(); }
-
-  /// Cumulative session statistics (not reset by ClearTrace).
-  const SessionStats& statistics() const { return stats_; }
+  const std::vector<TraceEntry>& trace() const { return translations_; }
+  void ClearTrace() { translations_.clear(); }
 
   const network::Schema& schema() const { return *schema_; }
   bool IsFunctionalTarget() const { return mapping_ != nullptr; }
@@ -151,10 +131,6 @@ class DmlMachine {
   Result<DmlResult> Walk(const codasyl::WalkStatement& s);
 
   // --- Shared machinery ---
-
-  /// Executes one ABDL request through the kernel, appending it to the
-  /// current trace entry.
-  Result<kds::Response> Issue(abdl::Request request);
 
   /// Looks up a set, a record type, and checks set membership.
   Result<const network::SetType*> RequireSet(std::string_view set) const;
@@ -190,10 +166,6 @@ class DmlMachine {
   /// The owner database key of the current occurrence of `set`.
   Result<std::string> RequireSetOwner(std::string_view set) const;
 
-  /// Allocates a fresh database key for `record` (probing the kernel so
-  /// generated keys never collide with loaded ones).
-  Result<std::string> AllocateDbKey(std::string_view record);
-
   /// One record built by the STORE translation, ready to insert: the AB
   /// record, its database key, and the (set, owner) pairs it connects to.
   struct BuiltStore {
@@ -221,22 +193,18 @@ class DmlMachine {
   /// True when the overlap table permits `a` and `b` to share an entity.
   bool OverlapDeclared(std::string_view a, std::string_view b) const;
 
+  /// Files the requests issued since `trace_` was last cleared under
+  /// `dml` in the translation trace.
+  void RecordTranslation(std::string dml);
+
   const network::Schema* schema_;
   const transform::FunNetMapping* mapping_;
-  kc::KernelExecutor* executor_;
-  TranslationCache* cache_ = nullptr;
 
   codasyl::UserWorkArea uwa_;
   codasyl::CurrencyIndicatorTable cit_;
   codasyl::RequestBuffer rb_;
-  std::vector<TraceEntry> trace_;
-  SessionStats stats_;
+  std::vector<TraceEntry> translations_;
   std::map<std::string, uint64_t> next_key_;
-
-  /// Explain mode for the statement currently executing: Issue() flags
-  /// every outgoing request and collects the plans its responses carry.
-  bool explain_ = false;
-  std::vector<std::shared_ptr<const kds::PlanNode>> explain_plans_;
 };
 
 }  // namespace mlds::kms

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/strings.h"
+#include "kfs/formatter.h"
 #include "transform/abdm_mapping.h"
 
 namespace mlds::kms {
@@ -51,11 +52,16 @@ abdl::AggregateOp MapAggregate(SqlAggregate aggregate) {
 
 SqlMachine::SqlMachine(const relational::Schema* schema,
                        kc::KernelExecutor* executor)
-    : schema_(schema), executor_(executor) {}
+    : LanguageInterface(executor), schema_(schema) {}
 
-Result<kds::Response> SqlMachine::Issue(abdl::Request request) {
-  trace_.push_back(abdl::ToString(request));
-  return executor_->Execute(request);
+Result<Reply> SqlMachine::Run(std::string_view text, bool explain) {
+  return Rendered(ExecuteText(WithExplainPrefix(text, explain)),
+                  kfs::FormatSqlOutcome);
+}
+
+Result<Reply> SqlMachine::RunBatch(std::string_view text,
+                                   const ParameterRows& rows) {
+  return Rendered(ExecuteBatch(text, rows), kfs::FormatSqlOutcome);
 }
 
 Result<SqlMachine::Outcome> SqlMachine::Execute(
@@ -80,32 +86,26 @@ Result<SqlMachine::Outcome> SqlMachine::Execute(
 }
 
 Result<SqlMachine::Outcome> SqlMachine::ExecuteText(std::string_view text) {
-  if (cache_ == nullptr) {
-    MLDS_ASSIGN_OR_RETURN(sql::SqlStatement statement, sql::ParseSql(text));
-    return Execute(statement);
-  }
+  trace_.clear();
   MLDS_ASSIGN_OR_RETURN(
       std::shared_ptr<const Translation> translation,
-      cache_->GetOrCompile<Translation>(
-          "sql", text, [&]() -> Result<Translation> {
-            MLDS_ASSIGN_OR_RETURN(sql::SqlStatement statement,
-                                  sql::ParseSql(text));
-            Translation t;
-            if (const auto* insert =
-                    std::get_if<sql::InsertStatement>(&statement)) {
-              if (insert->parameterized()) {
-                MLDS_ASSIGN_OR_RETURN(t.prepared,
-                                      CompilePreparedInsert(*insert));
-              } else {
-                t.ast = std::move(statement);
-              }
-            } else {
-              MLDS_ASSIGN_OR_RETURN(t.compiled, Compile(statement));
-            }
-            return t;
-          }));
+      Translate<Translation>("sql", text, [&]() -> Result<Translation> {
+        MLDS_ASSIGN_OR_RETURN(sql::SqlStatement statement,
+                              sql::ParseSql(text));
+        Translation t;
+        if (const auto* insert =
+                std::get_if<sql::InsertStatement>(&statement)) {
+          if (insert->parameterized()) {
+            MLDS_ASSIGN_OR_RETURN(t.prepared, CompilePreparedInsert(*insert));
+          } else {
+            t.ast = std::move(statement);
+          }
+        } else {
+          MLDS_ASSIGN_OR_RETURN(t.compiled, Compile(statement));
+        }
+        return t;
+      }));
   if (translation->compiled.has_value()) {
-    trace_.clear();
     return RunCompiled(*translation->compiled);
   }
   if (translation->prepared.has_value()) {
@@ -121,33 +121,60 @@ Result<SqlMachine::Outcome> SqlMachine::ExecuteBatch(
     const std::vector<std::vector<Value>>& rows,
     const abdl::BatchLimits& limits) {
   trace_.clear();
-  if (rows.empty()) {
-    return Status::InvalidArgument("prepared INSERT batch carries no rows");
-  }
-  auto compile = [&]() -> Result<Translation> {
-    MLDS_ASSIGN_OR_RETURN(sql::SqlStatement parsed, sql::ParseSql(statement));
-    const auto* insert = std::get_if<sql::InsertStatement>(&parsed);
-    if (insert == nullptr || !insert->parameterized()) {
-      return Status::InvalidArgument(
-          "batch execution requires a parameterized INSERT template "
-          "(INSERT ... VALUES with '?' markers)");
-    }
-    Translation t;
-    MLDS_ASSIGN_OR_RETURN(t.prepared, CompilePreparedInsert(*insert));
-    return t;
-  };
-  if (cache_ != nullptr) {
+  std::shared_ptr<const Translation> translation;
+  const Table* table = nullptr;
+  auto prepare = [&]() -> Result<size_t> {
     MLDS_ASSIGN_OR_RETURN(
-        std::shared_ptr<const Translation> translation,
-        cache_->GetOrCompile<Translation>("sql", statement, compile));
+        translation,
+        Translate<Translation>("sql", statement, [&]() -> Result<Translation> {
+          MLDS_ASSIGN_OR_RETURN(sql::SqlStatement parsed,
+                                sql::ParseSql(statement));
+          const auto* insert = std::get_if<sql::InsertStatement>(&parsed);
+          if (insert == nullptr || !insert->parameterized()) {
+            return Status::InvalidArgument(
+                "batch execution requires a parameterized INSERT template "
+                "(INSERT ... VALUES with '?' markers)");
+          }
+          Translation t;
+          MLDS_ASSIGN_OR_RETURN(t.prepared, CompilePreparedInsert(*insert));
+          return t;
+        }));
     if (!translation->prepared.has_value()) {
       return Status::InvalidArgument(
           "batch execution requires a parameterized INSERT template");
     }
-    return RunPreparedBatch(*translation->prepared, rows, limits);
-  }
-  MLDS_ASSIGN_OR_RETURN(Translation translation, compile());
-  return RunPreparedBatch(*translation.prepared, rows, limits);
+    table = schema_->FindTable(translation->prepared->table);
+    if (table == nullptr) {
+      return Status::NotFound("table '" + translation->prepared->table +
+                              "' does not exist");
+    }
+    return translation->prepared->request.params_per_row();
+  };
+  Outcome outcome;
+  // UNIQUE combinations seen so far in this batch, across chunks.
+  std::set<std::string> seen_unique;
+  auto run = [&](size_t begin, size_t end) -> Status {
+    const PreparedInsert& prepared = *translation->prepared;
+    MLDS_ASSIGN_OR_RETURN(abdl::BatchInsertRequest batch,
+                          prepared.request.BindBatch(rows, begin, end));
+    for (const Record& record : batch.records) {
+      MLDS_RETURN_IF_ERROR(CheckInsertRecord(*table, record, &seen_unique));
+    }
+    MLDS_ASSIGN_OR_RETURN(
+        std::vector<std::string> keys,
+        AllocateTupleKeys(prepared.table, batch.records.size()));
+    for (size_t i = 0; i < batch.records.size(); ++i) {
+      batch.records[i].Set(KeyAttribute(prepared.table),
+                           Value::String(keys[i]));
+    }
+    MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(std::move(batch)));
+    outcome.affected += resp.affected;
+    return Status::OK();
+  };
+  MLDS_RETURN_IF_ERROR(
+      ForEachChunk("prepared INSERT", rows, limits, prepare, run));
+  outcome.info = "inserted " + std::to_string(outcome.affected) + " row(s)";
+  return outcome;
 }
 
 Result<SqlMachine::CompiledSql> SqlMachine::Compile(
@@ -274,12 +301,6 @@ Result<Query> SqlMachine::BuildQuery(const Table& table,
   return Query(std::move(disjuncts));
 }
 
-Result<std::string> SqlMachine::AllocateTupleKey(std::string_view table) {
-  MLDS_ASSIGN_OR_RETURN(std::vector<std::string> keys,
-                        AllocateTupleKeys(table, 1));
-  return std::move(keys.front());
-}
-
 Result<std::vector<std::string>> SqlMachine::AllocateTupleKeys(
     std::string_view table, size_t count) {
   uint64_t next = next_key_[std::string(table)];
@@ -290,14 +311,9 @@ Result<std::vector<std::string>> SqlMachine::AllocateTupleKeys(
   // this machine stay collision-free (see the header for the
   // single-writer caveat).
   while (true) {
-    std::string candidate = transform::MakeDbKey(table, next);
-    abdl::RetrieveRequest probe;
-    probe.query = Query::And(
-        {FilePred(table), Predicate{KeyAttribute(table), RelOp::kEq,
-                                    Value::String(candidate)}});
-    probe.targets = {abdl::TargetItem{KeyAttribute(table)}};
-    MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(probe));
-    if (resp.records.empty()) break;
+    MLDS_ASSIGN_OR_RETURN(
+        bool taken, RecordExists(table, transform::MakeDbKey(table, next)));
+    if (!taken) break;
     ++next;
   }
   std::vector<std::string> keys;
@@ -554,39 +570,6 @@ Result<SqlMachine::PreparedInsert> SqlMachine::CompilePreparedInsert(
     }
   }
   return prepared;
-}
-
-Result<SqlMachine::Outcome> SqlMachine::RunPreparedBatch(
-    const PreparedInsert& prepared,
-    const std::vector<std::vector<Value>>& rows,
-    const abdl::BatchLimits& limits) {
-  const Table* table = schema_->FindTable(prepared.table);
-  if (table == nullptr) {
-    return Status::NotFound("table '" + prepared.table + "' does not exist");
-  }
-  const size_t chunk =
-      abdl::EffectiveBatchSize(limits, prepared.request.params_per_row());
-  Outcome outcome;
-  std::set<std::string> seen_unique;
-  for (size_t begin = 0; begin < rows.size(); begin += chunk) {
-    const size_t end = std::min(rows.size(), begin + chunk);
-    MLDS_ASSIGN_OR_RETURN(abdl::BatchInsertRequest batch,
-                          prepared.request.BindBatch(rows, begin, end));
-    for (const Record& record : batch.records) {
-      MLDS_RETURN_IF_ERROR(CheckInsertRecord(*table, record, &seen_unique));
-    }
-    MLDS_ASSIGN_OR_RETURN(
-        std::vector<std::string> keys,
-        AllocateTupleKeys(prepared.table, batch.records.size()));
-    for (size_t i = 0; i < batch.records.size(); ++i) {
-      batch.records[i].Set(KeyAttribute(prepared.table),
-                           Value::String(keys[i]));
-    }
-    MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(std::move(batch)));
-    outcome.affected += resp.affected;
-  }
-  outcome.info = "inserted " + std::to_string(outcome.affected) + " row(s)";
-  return outcome;
 }
 
 Result<SqlMachine::Outcome> SqlMachine::Update(const sql::UpdateStatement& s) {

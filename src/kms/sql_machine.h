@@ -15,7 +15,7 @@
 #include "common/result.h"
 #include "kc/executor.h"
 #include "kds/plan.h"
-#include "kms/translation_cache.h"
+#include "kms/language_interface.h"
 #include "relational/schema.h"
 #include "sql/ast.h"
 
@@ -39,16 +39,20 @@ namespace mlds::kms {
 /// annotated physical plan in Outcome::plan. The translation cache keys
 /// on the statement text, so "EXPLAIN SELECT ..." caches separately from
 /// the plain statement.
-class SqlMachine {
+///
+/// Translation cache: SELECT, UPDATE, and DELETE are pure functions of
+/// (statement, schema), so their translations cache as ready-to-issue
+/// ABDL requests; INSERT is impure (tuple-key allocation, constraint
+/// probes against live data), so only its parsed AST caches and the
+/// translation re-runs each time.
+class SqlMachine : public LanguageInterface {
  public:
   /// `schema` and `executor` must outlive the machine.
   SqlMachine(const relational::Schema* schema, kc::KernelExecutor* executor);
 
-  SqlMachine(const SqlMachine&) = delete;
-  SqlMachine& operator=(const SqlMachine&) = delete;
-
-  /// Degraded-mode status of the kernel this session executes against.
-  kc::KernelHealth Health() const { return executor_->Health(); }
+  Result<Reply> Run(std::string_view text, bool explain) override;
+  Result<Reply> RunBatch(std::string_view text,
+                         const ParameterRows& rows) override;
 
   /// Outcome of one SQL statement.
   struct Outcome {
@@ -74,13 +78,6 @@ class SqlMachine {
   Result<Outcome> ExecuteBatch(std::string_view statement,
                                const std::vector<std::vector<abdm::Value>>& rows,
                                const abdl::BatchLimits& limits = {});
-
-  /// Attaches the shared compiled-translation cache. SELECT, UPDATE, and
-  /// DELETE are pure functions of (statement, schema), so their
-  /// translations cache as ready-to-issue ABDL requests; INSERT is impure
-  /// (tuple-key allocation, constraint probes against live data), so only
-  /// its parsed AST caches and the translation re-runs each time.
-  void set_translation_cache(TranslationCache* cache) { cache_ = cache; }
 
   /// ABDL requests issued by the most recent statement.
   const std::vector<std::string>& trace() const { return trace_; }
@@ -128,10 +125,6 @@ class SqlMachine {
   Result<PreparedInsert> CompilePreparedInsert(
       const sql::InsertStatement& statement);
   Result<Outcome> RunCompiled(const CompiledSql& compiled);
-  Result<Outcome> RunPreparedBatch(
-      const PreparedInsert& prepared,
-      const std::vector<std::vector<abdm::Value>>& rows,
-      const abdl::BatchLimits& limits);
 
   /// NOT NULL + UNIQUE enforcement for one record about to insert into
   /// `table`. `seen_unique` dedupes unique-column combinations *within*
@@ -139,8 +132,6 @@ class SqlMachine {
   Status CheckInsertRecord(const relational::Table& table,
                            const abdm::Record& record,
                            std::set<std::string>* seen_unique);
-
-  Result<kds::Response> Issue(abdl::Request request);
 
   /// Resolves the table a column reference belongs to, and checks the
   /// column exists. `tables` lists the statement's FROM tables.
@@ -152,9 +143,6 @@ class SqlMachine {
   Result<abdm::Query> BuildQuery(const relational::Table& table,
                                  const sql::WhereClause& where) const;
 
-  /// Allocates a fresh tuple key for `table`.
-  Result<std::string> AllocateTupleKey(std::string_view table);
-
   /// Allocates `count` consecutive tuple keys: probes the cursor forward
   /// to the first free key, then claims the contiguous range. The range
   /// claim assumes bulk loads are single-writer on the table (this
@@ -164,9 +152,6 @@ class SqlMachine {
                                                      size_t count);
 
   const relational::Schema* schema_;
-  kc::KernelExecutor* executor_;
-  TranslationCache* cache_ = nullptr;
-  std::vector<std::string> trace_;
   std::map<std::string, uint64_t> next_key_;
 };
 

@@ -1,8 +1,8 @@
 #include "mlds/mlds.h"
 
-#include "abdl/parser.h"
 #include "daplex/ddl_parser.h"
 #include "kfs/formatter.h"
+#include "kms/abdl_machine.h"
 #include "network/ddl_parser.h"
 #include "transform/abdm_mapping.h"
 #include "transform/hie_to_abdm.h"
@@ -29,26 +29,56 @@ MldsSystem::MldsSystem(Options options) : options_(options) {
 
 MldsSystem::~MldsSystem() = default;
 
+template <typename Model>
+const Model* MldsSystem::Find(std::string_view name) const {
+  for (const auto& db : databases_) {
+    if (db->name == name) return std::get_if<Model>(&db->schema);
+  }
+  return nullptr;
+}
+
+Status MldsSystem::Define(Database db) {
+  for (const auto& loaded : databases_) {
+    if (loaded->name == db.name) {
+      return Status::AlreadyExists("database '" + db.name +
+                                   "' already loaded");
+    }
+  }
+  auto stored = std::make_unique<Database>(std::move(db));
+  struct Describe {
+    Result<abdm::DatabaseDescriptor> operator()(network::Schema& schema) {
+      return transform::MapNetworkToAbdm(schema);
+    }
+    Result<abdm::DatabaseDescriptor> operator()(FunctionalDb& db) {
+      // The direct language interface's one-step schema transformation
+      // (Ch. III.B.2) runs eagerly, at load.
+      MLDS_ASSIGN_OR_RETURN(db.mapping,
+                            transform::TransformFunctionalToNetwork(db.schema));
+      return transform::MapNetworkToAbdm(db.mapping.schema, &db.mapping);
+    }
+    Result<abdm::DatabaseDescriptor> operator()(relational::Schema& schema) {
+      return transform::MapRelationalToAbdm(schema);
+    }
+    Result<abdm::DatabaseDescriptor> operator()(hierarchical::Schema& schema) {
+      return transform::MapHierarchicalToAbdm(schema);
+    }
+  };
+  MLDS_ASSIGN_OR_RETURN(abdm::DatabaseDescriptor descriptor,
+                        std::visit(Describe{}, stored->schema));
+  MLDS_RETURN_IF_ERROR(executor_->DefineDatabase(descriptor));
+  databases_.push_back(std::move(stored));
+  // DDL: every cached translation may now name stale files/columns.
+  translation_cache_.InvalidateAll();
+  return Status::OK();
+}
+
 Status MldsSystem::LoadNetworkDatabase(std::string_view ddl) {
   MLDS_ASSIGN_OR_RETURN(network::Schema schema, network::ParseSchema(ddl));
   if (schema.name().empty()) {
     return Status::InvalidArgument(
         "network DDL must carry a SCHEMA NAME IS clause");
   }
-  if (FindNetworkSchema(schema.name()) != nullptr ||
-      FindFunctionalSchema(schema.name()) != nullptr) {
-    return Status::AlreadyExists("database '" + schema.name() +
-                                 "' already loaded");
-  }
-  MLDS_ASSIGN_OR_RETURN(abdm::DatabaseDescriptor descriptor,
-                        transform::MapNetworkToAbdm(schema));
-  MLDS_RETURN_IF_ERROR(executor_->DefineDatabase(descriptor));
-  auto db = std::make_unique<NetworkDb>();
-  db->schema = std::move(schema);
-  network_dbs_.push_back(std::move(db));
-  // DDL: every cached translation may now name stale files/columns.
-  translation_cache_.InvalidateAll();
-  return Status::OK();
+  return Define(Database{schema.name(), std::move(schema)});
 }
 
 Status MldsSystem::LoadRelationalDatabase(std::string_view ddl) {
@@ -58,21 +88,7 @@ Status MldsSystem::LoadRelationalDatabase(std::string_view ddl) {
     return Status::InvalidArgument("relational DDL must carry a SCHEMA "
                                    "clause");
   }
-  if (FindNetworkSchema(schema.name()) != nullptr ||
-      FindFunctionalSchema(schema.name()) != nullptr ||
-      FindRelationalSchema(schema.name()) != nullptr) {
-    return Status::AlreadyExists("database '" + schema.name() +
-                                 "' already loaded");
-  }
-  MLDS_ASSIGN_OR_RETURN(abdm::DatabaseDescriptor descriptor,
-                        transform::MapRelationalToAbdm(schema));
-  MLDS_RETURN_IF_ERROR(executor_->DefineDatabase(descriptor));
-  auto db = std::make_unique<RelationalDb>();
-  db->schema = std::move(schema);
-  relational_dbs_.push_back(std::move(db));
-  // DDL: every cached translation may now name stale files/columns.
-  translation_cache_.InvalidateAll();
-  return Status::OK();
+  return Define(Database{schema.name(), std::move(schema)});
 }
 
 Status MldsSystem::LoadHierarchicalDatabase(std::string_view ddl) {
@@ -82,22 +98,7 @@ Status MldsSystem::LoadHierarchicalDatabase(std::string_view ddl) {
     return Status::InvalidArgument("hierarchical DDL must carry a SCHEMA "
                                    "clause");
   }
-  if (FindNetworkSchema(schema.name()) != nullptr ||
-      FindFunctionalSchema(schema.name()) != nullptr ||
-      FindRelationalSchema(schema.name()) != nullptr ||
-      FindHierarchicalSchema(schema.name()) != nullptr) {
-    return Status::AlreadyExists("database '" + schema.name() +
-                                 "' already loaded");
-  }
-  MLDS_ASSIGN_OR_RETURN(abdm::DatabaseDescriptor descriptor,
-                        transform::MapHierarchicalToAbdm(schema));
-  MLDS_RETURN_IF_ERROR(executor_->DefineDatabase(descriptor));
-  auto db = std::make_unique<HierarchicalDb>();
-  db->schema = std::move(schema);
-  hierarchical_dbs_.push_back(std::move(db));
-  // DDL: every cached translation may now name stale files/columns.
-  translation_cache_.InvalidateAll();
-  return Status::OK();
+  return Define(Database{schema.name(), std::move(schema)});
 }
 
 Status MldsSystem::LoadFunctionalDatabase(std::string_view ddl) {
@@ -106,115 +107,108 @@ Status MldsSystem::LoadFunctionalDatabase(std::string_view ddl) {
   if (schema.name().empty()) {
     return Status::InvalidArgument("Daplex DDL must carry a SCHEMA clause");
   }
-  if (FindNetworkSchema(schema.name()) != nullptr ||
-      FindFunctionalSchema(schema.name()) != nullptr) {
-    return Status::AlreadyExists("database '" + schema.name() +
-                                 "' already loaded");
+  return Define(Database{schema.name(), FunctionalDb{std::move(schema), {}}});
+}
+
+Result<std::unique_ptr<kms::LanguageInterface>> MldsSystem::OpenInterface(
+    kms::Language language, std::string_view db_name) {
+  const std::string name(db_name);
+  kc::KernelExecutor* executor = executor_.get();
+  std::unique_ptr<kms::LanguageInterface> made;
+  switch (language) {
+    case kms::Language::kCodasyl: {
+      const network::Schema* view = NetworkViewOf(db_name);
+      if (view == nullptr) {
+        return Status::NotFound("database '" + name +
+                                "' is not loaded (searched network and "
+                                "functional schema lists)");
+      }
+      made = std::make_unique<kms::DmlMachine>(view, MappingOf(db_name),
+                                               executor);
+      break;
+    }
+    case kms::Language::kDaplex: {
+      const FunctionalDb* db = Find<FunctionalDb>(db_name);
+      if (db == nullptr) {
+        return Status::NotFound("functional database '" + name +
+                                "' is not loaded");
+      }
+      made = std::make_unique<kms::DaplexMachine>(
+          &db->schema, &db->mapping.schema, &db->mapping, executor);
+      break;
+    }
+    case kms::Language::kSql: {
+      const relational::Schema* schema = Find<relational::Schema>(db_name);
+      if (schema == nullptr) {
+        return Status::NotFound("relational database '" + name +
+                                "' is not loaded");
+      }
+      made = std::make_unique<kms::SqlMachine>(schema, executor);
+      break;
+    }
+    case kms::Language::kDli: {
+      const hierarchical::Schema* schema =
+          Find<hierarchical::Schema>(db_name);
+      if (schema == nullptr) {
+        return Status::NotFound("hierarchical database '" + name +
+                                "' is not loaded");
+      }
+      made = std::make_unique<kms::DliMachine>(schema, executor);
+      break;
+    }
+    case kms::Language::kAbdl:
+      made = std::make_unique<kms::AbdlMachine>(executor, controller_.get());
+      break;
+    case kms::Language::kNone:
+      return Status::InvalidArgument("cannot bind the 'none' language");
   }
-  MLDS_ASSIGN_OR_RETURN(transform::FunNetMapping mapping,
-                        transform::TransformFunctionalToNetwork(schema));
-  MLDS_ASSIGN_OR_RETURN(
-      abdm::DatabaseDescriptor descriptor,
-      transform::MapNetworkToAbdm(mapping.schema, &mapping));
-  MLDS_RETURN_IF_ERROR(executor_->DefineDatabase(descriptor));
-  auto db = std::make_unique<FunctionalDb>();
-  db->schema = std::move(schema);
-  db->mapping = std::move(mapping);
-  functional_dbs_.push_back(std::move(db));
-  // DDL: every cached translation may now name stale files/columns.
-  translation_cache_.InvalidateAll();
-  return Status::OK();
+  made->set_translation_cache(&translation_cache_);
+  return made;
+}
+
+template <typename Machine>
+Result<Machine*> MldsSystem::Keep(kms::Language language,
+                                  std::string_view db_name) {
+  MLDS_ASSIGN_OR_RETURN(std::unique_ptr<kms::LanguageInterface> made,
+                        OpenInterface(language, db_name));
+  sessions_.push_back(std::move(made));
+  return static_cast<Machine*>(sessions_.back().get());
 }
 
 Result<kms::DmlMachine*> MldsSystem::OpenCodasylSession(
     std::string_view db_name) {
-  // LIL first searches the existing network schemas; if the desired
-  // database is not there, the list of functional schemas is searched
-  // (Ch. V).
-  for (const auto& db : network_dbs_) {
-    if (db->schema.name() == db_name) {
-      sessions_.push_back(std::make_unique<kms::DmlMachine>(
-          &db->schema, nullptr, executor_.get()));
-      sessions_.back()->set_translation_cache(&translation_cache_);
-      return sessions_.back().get();
-    }
-  }
-  for (const auto& db : functional_dbs_) {
-    if (db->schema.name() == db_name) {
-      sessions_.push_back(std::make_unique<kms::DmlMachine>(
-          &db->mapping.schema, &db->mapping, executor_.get()));
-      sessions_.back()->set_translation_cache(&translation_cache_);
-      return sessions_.back().get();
-    }
-  }
-  return Status::NotFound("database '" + std::string(db_name) +
-                          "' is not loaded (searched network and functional "
-                          "schema lists)");
-}
-
-Result<kms::SqlMachine*> MldsSystem::OpenSqlSession(
-    std::string_view db_name) {
-  for (const auto& db : relational_dbs_) {
-    if (db->schema.name() == db_name) {
-      sql_sessions_.push_back(
-          std::make_unique<kms::SqlMachine>(&db->schema, executor_.get()));
-      sql_sessions_.back()->set_translation_cache(&translation_cache_);
-      return sql_sessions_.back().get();
-    }
-  }
-  return Status::NotFound("relational database '" + std::string(db_name) +
-                          "' is not loaded");
-}
-
-Result<kms::DliMachine*> MldsSystem::OpenDliSession(
-    std::string_view db_name) {
-  for (const auto& db : hierarchical_dbs_) {
-    if (db->schema.name() == db_name) {
-      dli_sessions_.push_back(
-          std::make_unique<kms::DliMachine>(&db->schema, executor_.get()));
-      dli_sessions_.back()->set_translation_cache(&translation_cache_);
-      return dli_sessions_.back().get();
-    }
-  }
-  return Status::NotFound("hierarchical database '" + std::string(db_name) +
-                          "' is not loaded");
+  return Keep<kms::DmlMachine>(kms::Language::kCodasyl, db_name);
 }
 
 Result<kms::DaplexMachine*> MldsSystem::OpenDaplexSession(
     std::string_view db_name) {
-  for (const auto& db : functional_dbs_) {
-    if (db->schema.name() == db_name) {
-      daplex_sessions_.push_back(std::make_unique<kms::DaplexMachine>(
-          &db->schema, &db->mapping.schema, &db->mapping, executor_.get()));
-      daplex_sessions_.back()->set_translation_cache(&translation_cache_);
-      return daplex_sessions_.back().get();
-    }
-  }
-  return Status::NotFound("functional database '" + std::string(db_name) +
-                          "' is not loaded");
+  return Keep<kms::DaplexMachine>(kms::Language::kDaplex, db_name);
+}
+
+Result<kms::SqlMachine*> MldsSystem::OpenSqlSession(
+    std::string_view db_name) {
+  return Keep<kms::SqlMachine>(kms::Language::kSql, db_name);
+}
+
+Result<kms::DliMachine*> MldsSystem::OpenDliSession(
+    std::string_view db_name) {
+  return Keep<kms::DliMachine>(kms::Language::kDli, db_name);
 }
 
 std::vector<std::string> MldsSystem::DatabaseNames() const {
   std::vector<std::string> names;
-  for (const auto& db : network_dbs_) names.push_back(db->schema.name());
-  for (const auto& db : functional_dbs_) names.push_back(db->schema.name());
-  for (const auto& db : relational_dbs_) names.push_back(db->schema.name());
-  for (const auto& db : hierarchical_dbs_) names.push_back(db->schema.name());
+  constexpr size_t kModels = std::variant_size_v<decltype(Database::schema)>;
+  for (size_t model = 0; model < kModels; ++model) {
+    for (const auto& db : databases_) {
+      if (db->schema.index() == model) names.push_back(db->name);
+    }
+  }
   return names;
 }
 
 Result<std::string> MldsSystem::ExplainAbdl(std::string_view request_text) {
-  MLDS_ASSIGN_OR_RETURN(abdl::Request request,
-                        abdl::ParseRequest(request_text));
-  MLDS_ASSIGN_OR_RETURN(kds::Response response,
-                        executor_->ExecuteExplain(std::move(request)));
-  if (response.plan == nullptr) {
-    return Status::InvalidArgument(
-        "request produced no plan (INSERT chooses no access path)");
-  }
-  kfs::PlanFormatOptions options;
-  options.header = "ABDL PLAN";
-  return kfs::FormatPlan(*response.plan, options);
+  return kms::AbdlMachine(executor_.get(), controller_.get())
+      .Explain(request_text);
 }
 
 std::string MldsSystem::HealthReport() const {
@@ -223,50 +217,37 @@ std::string MldsSystem::HealthReport() const {
 
 const hierarchical::Schema* MldsSystem::FindHierarchicalSchema(
     std::string_view name) const {
-  for (const auto& db : hierarchical_dbs_) {
-    if (db->schema.name() == name) return &db->schema;
-  }
-  return nullptr;
+  return Find<hierarchical::Schema>(name);
 }
 
 const relational::Schema* MldsSystem::FindRelationalSchema(
     std::string_view name) const {
-  for (const auto& db : relational_dbs_) {
-    if (db->schema.name() == name) return &db->schema;
-  }
-  return nullptr;
+  return Find<relational::Schema>(name);
 }
 
 const network::Schema* MldsSystem::FindNetworkSchema(
     std::string_view name) const {
-  for (const auto& db : network_dbs_) {
-    if (db->schema.name() == name) return &db->schema;
-  }
-  return nullptr;
+  return Find<network::Schema>(name);
 }
 
 const daplex::FunctionalSchema* MldsSystem::FindFunctionalSchema(
     std::string_view name) const {
-  for (const auto& db : functional_dbs_) {
-    if (db->schema.name() == name) return &db->schema;
-  }
-  return nullptr;
+  const FunctionalDb* db = Find<FunctionalDb>(name);
+  return db == nullptr ? nullptr : &db->schema;
 }
 
 const network::Schema* MldsSystem::NetworkViewOf(std::string_view name) const {
-  if (const network::Schema* native = FindNetworkSchema(name)) return native;
-  for (const auto& db : functional_dbs_) {
-    if (db->schema.name() == name) return &db->mapping.schema;
+  if (const network::Schema* native = Find<network::Schema>(name)) {
+    return native;
   }
-  return nullptr;
+  const FunctionalDb* db = Find<FunctionalDb>(name);
+  return db == nullptr ? nullptr : &db->mapping.schema;
 }
 
 const transform::FunNetMapping* MldsSystem::MappingOf(
     std::string_view name) const {
-  for (const auto& db : functional_dbs_) {
-    if (db->schema.name() == name) return &db->mapping;
-  }
-  return nullptr;
+  const FunctionalDb* db = Find<FunctionalDb>(name);
+  return db == nullptr ? nullptr : &db->mapping;
 }
 
 }  // namespace mlds

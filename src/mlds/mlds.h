@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "common/result.h"
@@ -14,6 +15,7 @@
 #include "kms/daplex_machine.h"
 #include "kms/dli_machine.h"
 #include "kms/dml_machine.h"
+#include "kms/language_interface.h"
 #include "kms/sql_machine.h"
 #include "kms/translation_cache.h"
 #include "mbds/controller.h"
@@ -38,11 +40,15 @@ namespace mlds {
 ///   session->ExecuteText("MOVE 'CS' TO major IN student");
 ///   session->ExecuteText("FIND ANY student USING major IN student");
 ///
-/// OpenCodasylSession searches the existing network schemas first; when
-/// the name belongs to a functional schema instead, the schema transformer
-/// runs (functional -> network, Ch. V) and the session operates on the
-/// transformed database with the functional-aware KMS translation — the
-/// thesis's cross-model access.
+/// A CODASYL-DML session over a network database works on it directly;
+/// over a functional database it works on the schema transformer's
+/// network view (functional -> network, Ch. V) with the functional-aware
+/// KMS translation — the thesis's cross-model access.
+///
+/// Every loaded database lives in one registry under one namespace: a
+/// name loaded under any data model cannot be loaded again under any
+/// other. Every session — typed (Open*Session) or through the language
+/// interface contract (OpenInterface) — binds through that registry.
 class MldsSystem {
  public:
   struct Options {
@@ -79,10 +85,20 @@ class MldsSystem {
   /// and the AB(functional) kernel files are created.
   Status LoadFunctionalDatabase(std::string_view ddl);
 
-  /// Opens a CODASYL-DML session against the named database. Searches the
-  /// network schema list first, then the functional schema list. The
-  /// returned machine is owned by the system and remains valid until the
-  /// system is destroyed.
+  /// Builds a new language interface of `language` bound to the named
+  /// database; the caller owns it. CODASYL-DML binds network databases
+  /// and, through the schema transformation, functional ones; Daplex
+  /// binds functional, SQL relational, and DL/I hierarchical databases.
+  /// ABDL, the kernel's own language, needs no schema and ignores
+  /// `db_name`. A name that is not loaded, or loaded under a data model
+  /// the language cannot bind, is kNotFound.
+  Result<std::unique_ptr<kms::LanguageInterface>> OpenInterface(
+      kms::Language language, std::string_view db_name);
+
+  /// Opens a CODASYL-DML session against the named network or functional
+  /// database. The returned machine is owned by the system and remains
+  /// valid until the system is destroyed (as are the other Open*Session
+  /// machines).
   Result<kms::DmlMachine*> OpenCodasylSession(std::string_view db_name);
 
   /// Opens a Daplex query session against a *functional* database — the
@@ -98,7 +114,8 @@ class MldsSystem {
   /// language interface of MLDS.
   Result<kms::DliMachine*> OpenDliSession(std::string_view db_name);
 
-  /// Names of loaded databases, network then functional.
+  /// Names of loaded databases: network, functional, relational, then
+  /// hierarchical ones, each group in load order.
   std::vector<std::string> DatabaseNames() const;
 
   const network::Schema* FindNetworkSchema(std::string_view name) const;
@@ -121,8 +138,9 @@ class MldsSystem {
 
   /// Parses one ABDL request, executes it in explain mode through the
   /// kernel controller, and returns its annotated physical plan rendered
-  /// by KFS under an "ABDL PLAN" header. INSERT is rejected — it chooses
-  /// no access path, so there is no plan to show.
+  /// by KFS under an "ABDL PLAN" header (kms::AbdlMachine::Explain).
+  /// INSERT is rejected — it chooses no access path, so there is no plan
+  /// to show.
   Result<std::string> ExplainAbdl(std::string_view request_text);
 
   /// Degraded-mode status of the kernel, rendered by KFS under a
@@ -144,33 +162,37 @@ class MldsSystem {
   mbds::Controller* controller() { return controller_.get(); }
 
  private:
-  struct NetworkDb {
-    network::Schema schema;
-  };
   struct FunctionalDb {
     daplex::FunctionalSchema schema;
     transform::FunNetMapping mapping;
   };
-  struct RelationalDb {
-    relational::Schema schema;
+  /// One registry entry: a loaded database's name and schema. The
+  /// variant's alternative is the database's data model.
+  struct Database {
+    std::string name;
+    std::variant<network::Schema, FunctionalDb, relational::Schema,
+                 hierarchical::Schema>
+        schema;
   };
-  struct HierarchicalDb {
-    hierarchical::Schema schema;
-  };
+
+  /// Registers `db` — the one name-collision check — and creates its
+  /// kernel files.
+  Status Define(Database db);
+  /// The schema of the database named `name` when it has data model
+  /// `Model`, else nullptr.
+  template <typename Model>
+  const Model* Find(std::string_view name) const;
+  /// Opens an interface and keeps it for the typed Open*Session methods.
+  template <typename Machine>
+  Result<Machine*> Keep(kms::Language language, std::string_view db_name);
 
   Options options_;
   kms::TranslationCache translation_cache_;
   std::unique_ptr<kds::Engine> engine_;
   std::unique_ptr<mbds::Controller> controller_;
   std::unique_ptr<kc::KernelExecutor> executor_;
-  std::vector<std::unique_ptr<NetworkDb>> network_dbs_;
-  std::vector<std::unique_ptr<FunctionalDb>> functional_dbs_;
-  std::vector<std::unique_ptr<RelationalDb>> relational_dbs_;
-  std::vector<std::unique_ptr<HierarchicalDb>> hierarchical_dbs_;
-  std::vector<std::unique_ptr<kms::DmlMachine>> sessions_;
-  std::vector<std::unique_ptr<kms::DaplexMachine>> daplex_sessions_;
-  std::vector<std::unique_ptr<kms::SqlMachine>> sql_sessions_;
-  std::vector<std::unique_ptr<kms::DliMachine>> dli_sessions_;
+  std::vector<std::unique_ptr<Database>> databases_;  ///< load order.
+  std::vector<std::unique_ptr<kms::LanguageInterface>> sessions_;
 };
 
 }  // namespace mlds

@@ -5,27 +5,14 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "abdl/request.h"
 #include "common/result.h"
-#include "kfs/formatter.h"
-#include "kms/daplex_machine.h"
-#include "kms/dli_machine.h"
-#include "kms/dml_machine.h"
-#include "kms/sql_machine.h"
+#include "kfs/chunk_source.h"
+#include "kms/language_interface.h"
 #include "mlds/mlds.h"
 #include "server/wire.h"
 
 namespace mlds::server {
-
-/// The language domain a session is bound to.
-enum class Language { kNone, kCodasyl, kDaplex, kSql, kDli, kAbdl };
-
-/// Parses a wire language name: codasyl (alias dml) | daplex | sql |
-/// dli | abdl, case-insensitively.
-Result<Language> ParseLanguage(std::string_view name);
-std::string_view LanguageName(Language language);
 
 /// One EXECUTE outcome in streamable form. `meta` always carries the
 /// timing and warnings; small results travel inline in `meta.body`
@@ -38,17 +25,18 @@ struct ExecuteOutcome {
   std::unique_ptr<kfs::ChunkSource> stream;
 };
 
-/// One remote session's state: the chosen language, the bound database,
-/// and the language machine executing its statements — which itself holds
-/// the session-scoped state the thesis assigns to a run unit (CODASYL
-/// currency indicators and UWA, DL/I position, SQL tuple-key cursor) —
-/// plus, for ABDL sessions, the in-flight transaction buffer.
+/// One remote session's state: the chosen language and the language
+/// interface bound to a database — which itself holds the session-scoped
+/// state the thesis assigns to a run unit (CODASYL currency indicators
+/// and UWA, DL/I position, SQL tuple-key cursor, the ABDL transaction
+/// buffer).
 ///
-/// Sessions own their machines (constructed over schemas and the executor
-/// owned by the shared MldsSystem), so concurrent sessions never mutate
-/// shared facade state and die cleanly with their connection. Statements
+/// Every language runs through the one kms::LanguageInterface contract,
+/// built by MldsSystem::OpenInterface over schemas and the executor owned
+/// by the shared system, so concurrent sessions never mutate shared
+/// facade state and die cleanly with their connection. Statements
 /// execute on the connection's worker thread; the kernel underneath
-/// serializes or parallelizes as PRs 1-4 arranged.
+/// serializes or parallelizes them.
 ///
 /// Not itself thread-safe: the server drives each session from exactly
 /// one worker thread.
@@ -61,30 +49,30 @@ class Session {
   Session& operator=(const Session&) = delete;
 
   uint32_t id() const { return id_; }
-  Language language() const { return language_; }
-  const std::string& database() const { return database_; }
+  kms::Language language() const { return language_; }
 
   /// Binds the session to `language` over `database`, replacing any
-  /// previous binding (currency/position state of the old machine is
-  /// discarded, as when a run unit finishes).
+  /// previous binding (currency/position/transaction state of the old
+  /// interface is discarded, as when a run unit finishes). A failed USE
+  /// leaves the previous binding in place.
   Status Use(const wire::UseRequest& request);
 
   /// Executes one statement in the bound language and renders the result
   /// with the kfs formatters — byte-identical to in-process execution.
-  /// `explain` requests the annotated plan: SQL and CODASYL-DML accept an
-  /// EXPLAIN prefix (added when missing), ABDL uses the kernel's
-  /// execute-and-explain, the other languages reject it.
+  /// `explain` requests the annotated plan (see
+  /// kms::LanguageInterface::Run).
   Result<wire::ExecuteResult> Execute(std::string_view statement,
                                       bool explain);
 
-  /// Streamable form of Execute: when the rendered body would exceed
-  /// `stream_threshold` bytes, the outcome carries a ChunkSource instead
-  /// of an inline body, so the server can emit it as kResultChunk frames
-  /// under write-buffer backpressure. ABDL RETRIEVEs render incrementally
-  /// from the record set (O(chunk) formatting memory); the other
-  /// languages' formatters are not incremental, so their oversized bodies
-  /// stream from an already-rendered buffer (bounding the receiver's
-  /// frame sizes and the sender's write buffer, not formatter memory).
+  /// Streamable form of Execute: when the rendered body exceeds
+  /// `stream_threshold` bytes, the outcome carries the interface's
+  /// ChunkSource instead of an inline body, so the server can emit it as
+  /// kResultChunk frames under write-buffer backpressure. ABDL RETRIEVEs
+  /// render incrementally from the record set (O(chunk) formatting
+  /// memory); the other languages' formatters are not incremental, so
+  /// their oversized bodies stream from an already-rendered buffer
+  /// (bounding the receiver's frame sizes and the sender's write buffer,
+  /// not formatter memory).
   Result<ExecuteOutcome> ExecuteStreamed(std::string_view statement,
                                          bool explain,
                                          size_t stream_threshold);
@@ -100,30 +88,10 @@ class Session {
   kc::KernelHealth Health() const { return system_->Health(); }
 
  private:
-  Result<ExecuteOutcome> ExecuteAbdl(std::string_view statement, bool explain,
-                                     size_t stream_threshold);
-
-  /// Partial-result warnings for a degraded kernel: one entry per
-  /// backend that is not currently healthy. Language-machine responses
-  /// do not carry per-request warnings (the controller's merge already
-  /// folded them), so the session derives the session-visible set from
-  /// Health() — the same information an in-process caller consults.
-  std::vector<kds::PartialResultWarning> DegradedWarnings() const;
-
   const uint32_t id_;
   MldsSystem* system_;
-  Language language_ = Language::kNone;
-  std::string database_;
-
-  std::unique_ptr<kms::DmlMachine> dml_;
-  std::unique_ptr<kms::DaplexMachine> daplex_;
-  std::unique_ptr<kms::SqlMachine> sql_;
-  std::unique_ptr<kms::DliMachine> dli_;
-
-  /// In-flight ABDL transaction (between BEGIN and COMMIT): parsed
-  /// requests buffered in arrival order, executed atomically at COMMIT.
-  bool in_transaction_ = false;
-  abdl::Transaction pending_txn_;
+  kms::Language language_ = kms::Language::kNone;
+  std::unique_ptr<kms::LanguageInterface> interface_;
 };
 
 }  // namespace mlds::server

@@ -38,6 +38,28 @@ TEST(MldsSystemTest, DuplicateDatabaseNameRejected) {
             StatusCode::kAlreadyExists);
 }
 
+TEST(MldsSystemTest, OneNamespaceAcrossDataModels) {
+  // A name loaded under any data model is taken for every other model.
+  MldsSystem mlds;
+  ASSERT_TRUE(mlds.LoadHierarchicalDatabase(
+                      "SCHEMA shop; SEGMENT patient; FIELD pname CHAR(12);")
+                  .ok());
+  EXPECT_EQ(mlds.LoadNetworkDatabase(kShopDdl).code(),
+            StatusCode::kAlreadyExists);
+  ASSERT_TRUE(
+      mlds.LoadRelationalDatabase("SCHEMA x; CREATE TABLE t (a CHAR(4));")
+          .ok());
+  EXPECT_EQ(mlds.LoadFunctionalDatabase(
+                    "SCHEMA x; TYPE thing IS ENTITY tname : STRING(8); "
+                    "END ENTITY;")
+                .code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(mlds.DatabaseNames(), (std::vector<std::string>{"x", "shop"}));
+  // Each name binds only the languages of the model it was loaded under.
+  EXPECT_TRUE(mlds.OpenCodasylSession("shop").status().IsNotFound());
+  EXPECT_TRUE(mlds.OpenDliSession("shop").ok());
+}
+
 TEST(MldsSystemTest, OpenSessionSearchesNetworkThenFunctional) {
   MldsSystem mlds;
   ASSERT_TRUE(mlds.LoadNetworkDatabase(kShopDdl).ok());

@@ -49,38 +49,78 @@ class ServerRoundTripTest : public ::testing::Test {
   std::unique_ptr<server::MldsServer> server_;
 };
 
+/// One step of a language case: a statement (explained when `explain`),
+/// a batch when `rows` is non-empty, or — when `use` is set — a re-USE
+/// of the case's language over that database. Every step must end with
+/// `code` on both sides.
+struct Step {
+  const char* text = nullptr;
+  bool explain = false;
+  std::vector<std::vector<abdm::Value>> rows = {};
+  const char* use = nullptr;
+  StatusCode code = StatusCode::kOk;
+};
+
 struct LanguageCase {
   const char* language;
   const char* database;
-  std::vector<const char*> statements;
+  std::vector<Step> steps;
 };
 
 /// The core guarantee: for every language, the wire result body is
 /// byte-identical to what an in-process session produces against an
-/// identically loaded system.
+/// identically loaded system — plain statements, EXPLAIN, and batches
+/// alike — and every rejection carries the same Status code.
 TEST_F(ServerRoundTripTest, AllLanguagesByteIdenticalToInProcess) {
   // A second, identically loaded system executes the same statements
   // in-process through the same session layer (no sockets involved).
   MldsSystem local_system;
   ASSERT_TRUE(server::LoadDemoDatabases(&local_system).ok());
 
+  using abdm::Value;
   const std::vector<LanguageCase> cases = {
       {"codasyl",
        "university",
-       {"MOVE 'Advanced Database' TO title IN course",
-        "FIND ANY course USING title IN course", "GET"}},
-      {"daplex", "university", {"FOR EACH course PRINT title"}},
+       {{.text = "MOVE 'Advanced Database' TO title IN course"},
+        {.text = "FIND ANY course USING title IN course"},
+        {.text = "GET"},
+        {.text = "FIND ANY course USING title IN course", .explain = true},
+        {.text = "STORE course (title = ?, semester = 'Fall88', credits = ?)",
+         .rows = {{Value::String("Wire Course A"), Value::Integer(3)},
+                  {Value::String("Wire Course B"), Value::Integer(4)}}}}},
+      {"daplex",
+       "university",
+       {{.text = "FOR EACH course PRINT title"},
+        {.text = "CREATE department (dname = ?)",
+         .rows = {{Value::String("Wire Dept")}}}}},
       {"sql",
        "payroll",
-       {"SELECT name, wage FROM staff",
-        "INSERT INTO staff (name, wage) VALUES ('barbara', 95.0)",
-        "SELECT name FROM staff WHERE wage > 90"}},
+       {{.text = "SELECT name, wage FROM staff"},
+        {.text = "INSERT INTO staff (name, wage) VALUES ('barbara', 95.0)"},
+        {.text = "SELECT name FROM staff WHERE wage > 90"},
+        {.text = "SELECT name FROM staff WHERE wage > 90", .explain = true},
+        {.text = "INSERT INTO staff (name, wage) VALUES (?, ?)",
+         .rows = {{Value::String("batcher"), Value::Float(12.5)}}},
+        // A failed USE leaves the previous binding usable as it was.
+        {.use = "no-such-db", .code = StatusCode::kNotFound},
+        {.text = "SELECT name FROM staff WHERE wage < 20"}}},
       {"dli",
        "clinic",
-       {"GU patient (pname = 'smith')", "GNP visit", "GNP visit"}},
+       {{.text = "GU patient (pname = 'smith')"},
+        {.text = "GNP visit"},
+        {.text = "GNP visit"},
+        {.text = "GU patient (pname = 'smith')",
+         .explain = true,
+         .code = StatusCode::kUnimplemented},
+        {.text = "ISRT visit (vdate = ?, cost = ?)",
+         .rows = {{Value::String("880101"), Value::Float(1.0)}}}}},
       {"abdl",
        "university",
-       {"RETRIEVE ((FILE = course)) (title) BY course"}},
+       {{.text = "RETRIEVE ((FILE = course)) (title) BY course"},
+        {.text = "RETRIEVE ((FILE = course)) (title) BY course",
+         .explain = true},
+        {.text = "INSERT (<FILE, staff>, <name, ?>, <wage, ?>)",
+         .rows = {{Value::String("abdl_batch"), Value::Float(1.5)}}}}},
   };
 
   client::MldsClient client = Connected();
@@ -90,13 +130,26 @@ TEST_F(ServerRoundTripTest, AllLanguagesByteIdenticalToInProcess) {
     server::Session local(99, &local_system);
     ASSERT_TRUE(
         local.Use(wire::UseRequest{c.language, c.database}).ok());
-    for (const char* statement : c.statements) {
-      SCOPED_TRACE(statement);
-      Result<wire::ExecuteResult> remote = client.Execute(statement);
+    for (const Step& step : c.steps) {
+      if (step.use != nullptr) {
+        SCOPED_TRACE(std::string("USE ") + step.use);
+        EXPECT_EQ(client.Use(c.language, step.use).code(), step.code);
+        EXPECT_EQ(local.Use(wire::UseRequest{c.language, step.use}).code(),
+                  step.code);
+        continue;
+      }
+      SCOPED_TRACE(step.text);
+      const bool batch = !step.rows.empty();
+      Result<wire::ExecuteResult> remote =
+          batch          ? client.ExecuteBatch(step.text, step.rows)
+          : step.explain ? client.Explain(step.text)
+                         : client.Execute(step.text);
       Result<wire::ExecuteResult> in_process =
-          local.Execute(statement, /*explain=*/false);
-      ASSERT_TRUE(remote.ok()) << remote.status();
-      ASSERT_TRUE(in_process.ok()) << in_process.status();
+          batch ? local.ExecuteBatch(wire::BatchRequest{step.text, step.rows})
+                : local.Execute(step.text, step.explain);
+      ASSERT_EQ(remote.status().code(), step.code) << remote.status();
+      ASSERT_EQ(in_process.status().code(), step.code) << in_process.status();
+      if (step.code != StatusCode::kOk) continue;
       EXPECT_EQ(remote->body, in_process->body);
       EXPECT_FALSE(remote->body.empty());
     }

@@ -12,6 +12,7 @@
 #   MLDS_SKIP_ASAN=1 tools/check.sh            # skip the ASan stage
 #   MLDS_SKIP_UBSAN=1 tools/check.sh           # skip the UBSan stage
 #   MLDS_SKIP_BENCH=1 tools/check.sh           # skip the bench smoke stage
+#                                              # (and the benchmark self-test)
 #   MLDS_SKIP_SERVER=1 tools/check.sh          # skip the server smoke stage
 set -euo pipefail
 
@@ -79,6 +80,12 @@ else
   grep -q '"fused_speedup_ge_5x": true' build/bench-smoke/BENCH_joins.json \
     || { echo "fused join floor regression: fused_speedup_ge_5x is not true"; exit 1; }
   echo "fused join floor holds"
+
+  # The benchmark (perfbench/) builds the library from src/ on its own:
+  # build it and run its self-test so a src/ API change that breaks the
+  # benchmark fails here, not in the benchmark pipeline.
+  echo "== benchmark self-test =="
+  python3 perfbench/run.py --self-test
 fi
 
 # Streaming smoke against a given build tree: a server with a tiny
