@@ -2,12 +2,15 @@
 #define MLDS_KC_EXECUTOR_H_
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "abdl/request.h"
 #include "abdm/schema.h"
+#include "common/counters.h"
 #include "common/result.h"
 #include "kds/engine.h"
 #include "mbds/controller.h"
@@ -56,6 +59,20 @@ class KernelExecutor {
   virtual Result<kds::Response> Execute(const abdl::Request& request) = 0;
   virtual size_t FileSize(std::string_view file) const = 0;
 
+  /// Executes `txn` in order up to the first failure (nothing rolls back)
+  /// and merges the responses. The default, which decorators inherit,
+  /// calls Execute per request; a single engine holds the union of the
+  /// requests' file locks throughout, MBDS runs its stage pipeline.
+  virtual Result<kds::Response> ExecuteTransaction(
+      const abdl::Transaction& txn) {
+    std::vector<kds::Response> responses;
+    for (const abdl::Request& request : txn) {
+      MLDS_ASSIGN_OR_RETURN(kds::Response response, Execute(request));
+      responses.push_back(std::move(response));
+    }
+    return Merged(std::move(responses));
+  }
+
   /// Executes `request` in explain mode regardless of how its flag was
   /// set: the result carries the annotated plan (null for INSERT, which
   /// chooses no access path).
@@ -85,20 +102,31 @@ class KernelExecutor {
   /// over backends for MBDS). All-zero for executors without a pool.
   virtual kds::PoolCounters PoolStats() const { return {}; }
 
+  /// The kernel's `pool.*`, `integrity.*` and `stats.*` counters as one
+  /// named list (summed by name over backends for MBDS). Empty for
+  /// executors without storage.
+  virtual common::CounterSnapshot Counters() const { return {}; }
+
   /// On-demand scrub: walks every on-disk page of the kernel's storage
   /// through the checksum verify (see kds::Engine::VerifyIntegrity).
   /// An executor without storage reports an empty, clean kernel.
   virtual kds::IntegrityReport VerifyIntegrity() const { return {}; }
 
-  /// Storage-integrity counters (summed over backends for MBDS).
-  /// All-zero for executors without storage.
-  virtual kds::IntegrityCounters IntegrityStats() const { return {}; }
-
-  /// Statistics & join subsystem counters — histogram builds, adaptive
-  /// re-plans, join strategy counts (summed over backends for MBDS,
-  /// plus the controller's own distributed joins). All-zero for
-  /// executors without storage.
-  virtual kds::StatisticsCounters StatisticsStats() const { return {}; }
+ protected:
+  /// A transaction's per-request responses merged in order.
+  static kds::Response Merged(std::vector<kds::Response> parts) {
+    kds::Response total;
+    for (kds::Response& part : parts) {
+      total.records.insert(total.records.end(),
+                           std::make_move_iterator(part.records.begin()),
+                           std::make_move_iterator(part.records.end()));
+      total.affected += part.affected;
+      total.io += part.io;
+      total.warnings.insert(total.warnings.end(), part.warnings.begin(),
+                            part.warnings.end());
+    }
+    return total;
+  }
 };
 
 /// KernelExecutor over a single kds::Engine (does not own it).
@@ -115,6 +143,12 @@ class EngineExecutor : public KernelExecutor {
   Result<kds::Response> Execute(const abdl::Request& request) override {
     return engine_->Execute(request);
   }
+  Result<kds::Response> ExecuteTransaction(
+      const abdl::Transaction& txn) override {
+    MLDS_ASSIGN_OR_RETURN(std::vector<kds::Response> responses,
+                          engine_->ExecuteTransaction(txn));
+    return Merged(std::move(responses));
+  }
   size_t FileSize(std::string_view file) const override {
     return engine_->FileSize(file);
   }
@@ -124,14 +158,11 @@ class EngineExecutor : public KernelExecutor {
   kds::PoolCounters PoolStats() const override {
     return engine_->pool_stats();
   }
+  common::CounterSnapshot Counters() const override {
+    return engine_->counters();
+  }
   kds::IntegrityReport VerifyIntegrity() const override {
     return engine_->VerifyIntegrity();
-  }
-  kds::IntegrityCounters IntegrityStats() const override {
-    return engine_->integrity_stats();
-  }
-  kds::StatisticsCounters StatisticsStats() const override {
-    return engine_->statistics_stats();
   }
 
  private:
@@ -155,6 +186,12 @@ class MbdsExecutor : public KernelExecutor {
                           controller_->Execute(request));
     return std::move(report.response);
   }
+  Result<kds::Response> ExecuteTransaction(
+      const abdl::Transaction& txn) override {
+    MLDS_ASSIGN_OR_RETURN(mbds::ExecutionReport report,
+                          controller_->ExecuteTransaction(txn));
+    return std::move(report.response);
+  }
   size_t FileSize(std::string_view file) const override {
     return controller_->FileSize(file);
   }
@@ -164,14 +201,11 @@ class MbdsExecutor : public KernelExecutor {
   kds::PoolCounters PoolStats() const override {
     return controller_->PoolStats();
   }
+  common::CounterSnapshot Counters() const override {
+    return controller_->Counters();
+  }
   kds::IntegrityReport VerifyIntegrity() const override {
     return controller_->VerifyIntegrity();
-  }
-  kds::IntegrityCounters IntegrityStats() const override {
-    return controller_->IntegrityStats();
-  }
-  kds::StatisticsCounters StatisticsStats() const override {
-    return controller_->StatisticsStats();
   }
 
   KernelHealth Health() const override {

@@ -9,25 +9,29 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/counters.h"
 #include "common/result.h"
 #include "kds/io_stats.h"
 #include "kds/page_file.h"
 
 namespace mlds::kds {
 
-/// Buffer-pool traffic counters, exposed through STATS and `.stats`.
+/// Buffer-pool traffic counters: the `pool.*` group of STATS and `.stats`.
 struct PoolCounters {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t evictions = 0;
-  uint64_t dirty_writebacks = 0;
+  uint64_t hits = 0;              ///< page fetches served from the pool.
+  uint64_t misses = 0;            ///< page fetches that read the file.
+  uint64_t evictions = 0;         ///< frames evicted to make room.
+  uint64_t dirty_writebacks = 0;  ///< dirty frames written on eviction.
+
+  static constexpr common::CounterField<PoolCounters> kCounters[] = {
+      {"pool.hits", &PoolCounters::hits},
+      {"pool.misses", &PoolCounters::misses},
+      {"pool.evictions", &PoolCounters::evictions},
+      {"pool.dirty_writebacks", &PoolCounters::dirty_writebacks},
+  };
 
   PoolCounters& operator+=(const PoolCounters& o) {
-    hits += o.hits;
-    misses += o.misses;
-    evictions += o.evictions;
-    dirty_writebacks += o.dirty_writebacks;
-    return *this;
+    return common::AddCounters(*this, o);
   }
 };
 

@@ -297,7 +297,7 @@ Engine::~Engine() {
   std::ostringstream snap;
   if (SaveSnapshot(*this, snap).ok() &&
       io_->WriteFileAtomic(CheckpointPath(), snap.str()).ok()) {
-    integrity_.fsyncs.fetch_add(1, std::memory_order_relaxed);
+    integrity_.Add(&IntegrityCounters::fsyncs);
   }
   // The clean-shutdown marker goes last — atomically, because its mere
   // presence certifies that the page files hold the engine's final
@@ -307,7 +307,7 @@ Engine::~Engine() {
   const std::string path =
       (std::filesystem::path(options_.data_dir) / kCleanMarker).string();
   if (io_->WriteFileAtomic(path, "").ok()) {
-    integrity_.fsyncs.fetch_add(1, std::memory_order_relaxed);
+    integrity_.Add(&IntegrityCounters::fsyncs);
   }
 }
 
@@ -416,7 +416,7 @@ void Engine::RebuildFromCheckpoint(const std::set<std::string>& damaged) {
     restored_unclaimed_.insert(name);
     ++recreated;
   }
-  integrity_.files_rebuilt.fetch_add(recreated, std::memory_order_relaxed);
+  integrity_.Add(&IntegrityCounters::files_rebuilt, recreated);
   // Every damaged file came back from the checkpoint: the restore healed
   // itself, so the engine reports the incident through the integrity
   // counters rather than a sticky restore error.
@@ -629,7 +629,7 @@ IntegrityReport Engine::VerifyIntegrity() const {
     const uint64_t pages = file->page_count();
     for (uint64_t page = 0; page < pages; ++page) {
       ++verdict.pages;
-      integrity_.pages_scrubbed.fetch_add(1, std::memory_order_relaxed);
+      integrity_.Add(&IntegrityCounters::pages_scrubbed);
       Status read = file->ReadPage(page, buf.data());
       if (read.ok()) continue;
       ++verdict.bad_pages;
@@ -651,8 +651,8 @@ void Engine::SetVerifyReads(bool verify) {
 
 IntegrityCounters Engine::integrity_stats() const {
   IntegrityCounters c = integrity_.Snapshot();
-  // The page layer counts every I/O failure it observes; the seam knows
-  // how many of those it manufactured.
+  // The page layer counts every I/O failure it observes as real; the seam
+  // knows how many of those it manufactured.
   c.io_errors_injected = io_->injected_faults();
   c.io_errors_real = c.io_errors_real > c.io_errors_injected
                          ? c.io_errors_real - c.io_errors_injected
@@ -677,6 +677,13 @@ uint64_t Engine::EstimateQuery(const abdm::Query& query, std::string_view attr,
     }
   }
   return est;
+}
+
+common::CounterSnapshot Engine::counters() const {
+  common::CounterSnapshot counters = common::CounterSnapshot::Of(pool_stats());
+  counters += common::CounterSnapshot::Of(integrity_stats());
+  counters += common::CounterSnapshot::Of(statistics_stats());
+  return counters;
 }
 
 StatisticsCounters Engine::statistics_stats() const {
@@ -1077,13 +1084,10 @@ Result<Response> Engine::ExecuteRetrieveCommon(
   inputs.left = &left;
   inputs.right = &right;
   JoinOutcome joined = ExecuteJoin(inputs);
-  if (joined.replanned) {
-    stats_counters_.replans.fetch_add(1, std::memory_order_relaxed);
-  }
-  auto& strategy_counter = joined.strategy == JoinStrategy::kMerge
-                               ? stats_counters_.merge_joins
-                               : stats_counters_.hash_joins;
-  strategy_counter.fetch_add(1, std::memory_order_relaxed);
+  if (joined.replanned) stats_counters_.Add(&StatisticsCounters::replans);
+  stats_counters_.Add(joined.strategy == JoinStrategy::kMerge
+                          ? &StatisticsCounters::merge_joins
+                          : &StatisticsCounters::hash_joins);
   resp.records = std::move(joined.records);
   if (req.explain) {
     PlanNode join;

@@ -11,6 +11,7 @@
 
 #include "abdl/request.h"
 #include "abdm/schema.h"
+#include "common/counters.h"
 #include "common/result.h"
 #include "kds/file_io.h"
 #include "kds/file_store.h"
@@ -207,6 +208,10 @@ class Engine {
   /// Storage-integrity counters for this engine, with I/O errors split
   /// into injected (served by a FaultyFileIo seam) and real.
   IntegrityCounters integrity_stats() const;
+
+  /// The three snapshots above as one named list: `pool.*`,
+  /// `integrity.*`, then `stats.*`.
+  common::CounterSnapshot counters() const;
 
   /// Toggles checksum verification on page reads for every file (see
   /// PageFile::set_verify_reads). Only the integrity bench turns this

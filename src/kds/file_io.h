@@ -9,13 +9,15 @@
 #include <string>
 #include <string_view>
 
+#include "common/counters.h"
 #include "common/result.h"
 #include "common/status.h"
 
 namespace mlds::kds {
 
 /// Integrity bookkeeping for the storage layer. Counters accumulate per
-/// engine and flow through PoolStats -> STATS wire frame -> `.stats`.
+/// engine (Engine::integrity_stats) and reach STATS and `.stats` as the
+/// `integrity.*` group through KernelExecutor::Counters.
 struct IntegrityCounters {
   uint64_t checksum_failures = 0;   ///< Page verifies that failed.
   uint64_t io_errors_injected = 0;  ///< Faults served by FaultyFileIo.
@@ -24,41 +26,20 @@ struct IntegrityCounters {
   uint64_t files_rebuilt = 0;       ///< Quarantine + rebuild events.
   uint64_t fsyncs = 0;              ///< Durability barriers issued.
 
-  IntegrityCounters& operator+=(const IntegrityCounters& other) {
-    checksum_failures += other.checksum_failures;
-    io_errors_injected += other.io_errors_injected;
-    io_errors_real += other.io_errors_real;
-    pages_scrubbed += other.pages_scrubbed;
-    files_rebuilt += other.files_rebuilt;
-    fsyncs += other.fsyncs;
-    return *this;
-  }
+  static constexpr common::CounterField<IntegrityCounters> kCounters[] = {
+      {"integrity.checksum_failures", &IntegrityCounters::checksum_failures},
+      {"integrity.io_errors_injected", &IntegrityCounters::io_errors_injected},
+      {"integrity.io_errors_real", &IntegrityCounters::io_errors_real},
+      {"integrity.pages_scrubbed", &IntegrityCounters::pages_scrubbed},
+      {"integrity.files_rebuilt", &IntegrityCounters::files_rebuilt},
+      {"integrity.fsyncs", &IntegrityCounters::fsyncs},
+  };
 };
 
-/// Thread-safe accumulator shared by every PageFile of an engine.
-/// `io_errors` counts every I/O failure the storage layer observed;
-/// the engine splits it into injected vs. real using the FileIo's
-/// injected_faults() when snapshotting.
-class AtomicIntegrityCounters {
- public:
-  std::atomic<uint64_t> checksum_failures{0};
-  std::atomic<uint64_t> io_errors{0};
-  std::atomic<uint64_t> pages_scrubbed{0};
-  std::atomic<uint64_t> files_rebuilt{0};
-  std::atomic<uint64_t> fsyncs{0};
-
-  /// Snapshots the counters; all observed I/O errors land in
-  /// io_errors_real (the engine subtracts injected faults).
-  IntegrityCounters Snapshot() const {
-    IntegrityCounters c;
-    c.checksum_failures = checksum_failures.load(std::memory_order_relaxed);
-    c.io_errors_real = io_errors.load(std::memory_order_relaxed);
-    c.pages_scrubbed = pages_scrubbed.load(std::memory_order_relaxed);
-    c.files_rebuilt = files_rebuilt.load(std::memory_order_relaxed);
-    c.fsyncs = fsyncs.load(std::memory_order_relaxed);
-    return c;
-  }
-};
+/// Thread-safe accumulator shared by every PageFile of an engine. Every
+/// observed I/O failure counts as io_errors_real; Engine::integrity_stats
+/// moves the FileIo's injected_faults() share into io_errors_injected.
+using AtomicIntegrityCounters = common::AtomicCounters<IntegrityCounters>;
 
 /// An open file. Positioned reads/writes so concurrent PageFiles never
 /// share seek state; Sync is a real fsync (fdatasync where available).

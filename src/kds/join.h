@@ -39,7 +39,7 @@ struct JoinOutcome {
   JoinStrategy strategy = JoinStrategy::kHash;
   /// True when a side's actual cardinality missed its estimate by >= 10x
   /// and the strategy choice was redone against the actual sizes — the
-  /// adaptive re-plan (counted as stats.replans).
+  /// adaptive re-plan (counted in StatisticsCounters::replans).
   bool replanned = false;
 };
 

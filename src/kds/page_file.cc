@@ -95,6 +95,12 @@ bool AllZero(const char* buf, size_t n) {
   return true;
 }
 
+/// Counts one storage event when the engine attached its counters.
+void Count(AtomicIntegrityCounters* counters,
+           uint64_t IntegrityCounters::*member) {
+  if (counters != nullptr) counters->Add(member);
+}
+
 }  // namespace
 
 PageFile::PageFile(size_t page_bytes) : page_bytes_(page_bytes) {}
@@ -114,12 +120,6 @@ PageFile::PageFile(std::string path, std::unique_ptr<FileHandle> file,
 
 PageFile::~PageFile() = default;
 
-void PageFile::CountIoError() const {
-  if (counters_ != nullptr) {
-    counters_->io_errors.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
 Result<std::unique_ptr<PageFile>> PageFile::Open(
     const std::string& path, size_t page_bytes, FileIo* io,
     AtomicIntegrityCounters* counters) {
@@ -129,9 +129,7 @@ Result<std::unique_ptr<PageFile>> PageFile::Open(
   if (io == nullptr) io = FileIo::Default();
   auto opened = io->Open(path, /*create=*/true);
   if (!opened.ok()) {
-    if (counters != nullptr) {
-      counters->io_errors.fetch_add(1, std::memory_order_relaxed);
-    }
+    Count(counters, &IntegrityCounters::io_errors_real);
     return opened.status();
   }
   std::unique_ptr<FileHandle> file = std::move(*opened);
@@ -174,18 +172,14 @@ Result<std::unique_ptr<PageFile>> PageFile::Open(
     header_ok = ParseHeader(in_place, page_bytes, &meta, &next_generation);
   }
   if (!header_ok) {
-    if (counters != nullptr) {
-      counters->checksum_failures.fetch_add(1, std::memory_order_relaxed);
-    }
+    Count(counters, &IntegrityCounters::checksum_failures);
     return Status::Corruption("page_file: bad header in " + path);
   }
 
   const uint64_t frame_bytes = page_bytes + kTrailerBytes;
   const uint64_t data_bytes = *size > page_bytes ? *size - page_bytes : 0;
   if (data_bytes % frame_bytes != 0) {
-    if (counters != nullptr) {
-      counters->checksum_failures.fetch_add(1, std::memory_order_relaxed);
-    }
+    Count(counters, &IntegrityCounters::checksum_failures);
     return Status::Corruption("page_file: torn frame tail in " + path);
   }
   return std::unique_ptr<PageFile>(
@@ -216,11 +210,11 @@ Status PageFile::ReadPage(uint64_t page, char* buf) const {
   frame.resize(frame_bytes);
   auto got = file_->ReadAt(offset, frame.data(), frame_bytes);
   if (!got.ok()) {
-    CountIoError();
+    Count(counters_, &IntegrityCounters::io_errors_real);
     return got.status();
   }
   if (*got != frame_bytes) {
-    CountIoError();
+    Count(counters_, &IntegrityCounters::io_errors_real);
     return Status::Corruption("page_file: short read in " + path_);
   }
   if (verify_reads_) {
@@ -230,18 +224,13 @@ Status PageFile::ReadPage(uint64_t page, char* buf) const {
       // A never-written gap page (eviction extends the file out of page
       // order): legitimate only when the whole frame is zero.
       if (!AllZero(frame.data(), page_bytes_)) {
-        if (counters_ != nullptr) {
-          counters_->checksum_failures.fetch_add(1,
-                                                 std::memory_order_relaxed);
-        }
+        Count(counters_, &IntegrityCounters::checksum_failures);
         return Status::Corruption("page_file: corrupt gap page " +
                                   std::to_string(page) + " in " + path_);
       }
     } else if (FrameChecksum(frame.data(), page_bytes_, page, generation) !=
                stored) {
-      if (counters_ != nullptr) {
-        counters_->checksum_failures.fetch_add(1, std::memory_order_relaxed);
-      }
+      Count(counters_, &IntegrityCounters::checksum_failures);
       return Status::Corruption("page_file: checksum mismatch on page " +
                                 std::to_string(page) + " in " + path_);
     }
@@ -275,7 +264,7 @@ Status PageFile::WritePage(uint64_t page, const char* buf) {
   Status wrote = file_->WriteAt(page_bytes_ + page * frame_bytes,
                                 frame.data(), frame_bytes);
   if (!wrote.ok()) {
-    CountIoError();
+    Count(counters_, &IntegrityCounters::io_errors_real);
     return wrote;
   }
   if (page >= page_count_) page_count_ = page + 1;
@@ -310,15 +299,13 @@ Status PageFile::WriteHeaderLocked() {
   header_in_place_ = false;
   Status sidecar = io_->WriteFileAtomic(path_ + ".hdr", header);
   if (!sidecar.ok()) {
-    CountIoError();
+    Count(counters_, &IntegrityCounters::io_errors_real);
     return sidecar;
   }
-  if (counters_ != nullptr) {
-    counters_->fsyncs.fetch_add(1, std::memory_order_relaxed);
-  }
+  Count(counters_, &IntegrityCounters::fsyncs);
   Status in_place = file_->WriteAt(0, header.data(), page_bytes_);
   if (!in_place.ok()) {
-    CountIoError();
+    Count(counters_, &IntegrityCounters::io_errors_real);
     return in_place;
   }
   header_in_place_ = true;
@@ -334,7 +321,7 @@ Status PageFile::Truncate() {
   }
   Status truncated = file_->Truncate(page_bytes_);
   if (!truncated.ok()) {
-    CountIoError();
+    Count(counters_, &IntegrityCounters::io_errors_real);
     return truncated;
   }
   return WriteHeaderLocked();
@@ -345,12 +332,10 @@ Status PageFile::Sync() {
   if (file_ == nullptr) return Status::OK();
   Status synced = file_->Sync();
   if (!synced.ok()) {
-    CountIoError();
+    Count(counters_, &IntegrityCounters::io_errors_real);
     return synced;
   }
-  if (counters_ != nullptr) {
-    counters_->fsyncs.fetch_add(1, std::memory_order_relaxed);
-  }
+  Count(counters_, &IntegrityCounters::fsyncs);
   // The in-place header is durable and matches the sidecar: the journal
   // has served its purpose.
   if (header_in_place_) (void)io_->Remove(path_ + ".hdr");

@@ -100,7 +100,6 @@ class PageFile {
            uint64_t page_count, uint64_t next_generation, std::string meta);
 
   Status WriteHeaderLocked();
-  void CountIoError() const;
 
   mutable std::mutex mutex_;
   const size_t page_bytes_;

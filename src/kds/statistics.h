@@ -1,7 +1,6 @@
 #ifndef MLDS_KDS_STATISTICS_H_
 #define MLDS_KDS_STATISTICS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -12,13 +11,14 @@
 
 #include "abdm/query.h"
 #include "abdm/value.h"
+#include "common/counters.h"
 #include "common/result.h"
 
 namespace mlds::kds {
 
 /// Counters of the statistics & join subsystem, surfaced through
 /// STATS / `.stats` as the `stats.*` group. Summed over backends by the
-/// MBDS executor the same way the pool counters are.
+/// MBDS controller the same way the pool counters are.
 struct StatisticsCounters {
   /// Equi-depth histogram (re)builds — first build, staleness rebuilds,
   /// and epoch-invalidation rebuilds all count.
@@ -31,33 +31,18 @@ struct StatisticsCounters {
   /// Joins executed with the merge strategy.
   uint64_t merge_joins = 0;
 
-  StatisticsCounters& operator+=(const StatisticsCounters& o) {
-    histogram_builds += o.histogram_builds;
-    replans += o.replans;
-    hash_joins += o.hash_joins;
-    merge_joins += o.merge_joins;
-    return *this;
-  }
+  static constexpr common::CounterField<StatisticsCounters> kCounters[] = {
+      {"stats.histogram_builds", &StatisticsCounters::histogram_builds},
+      {"stats.replans", &StatisticsCounters::replans},
+      {"stats.hash_joins", &StatisticsCounters::hash_joins},
+      {"stats.merge_joins", &StatisticsCounters::merge_joins},
+  };
 };
 
 /// Lock-free accumulation form of StatisticsCounters, owned by layers
 /// that count joins while requests run concurrently (Engine, MBDS
 /// controller).
-struct AtomicStatisticsCounters {
-  std::atomic<uint64_t> histogram_builds{0};
-  std::atomic<uint64_t> replans{0};
-  std::atomic<uint64_t> hash_joins{0};
-  std::atomic<uint64_t> merge_joins{0};
-
-  StatisticsCounters Snapshot() const {
-    StatisticsCounters s;
-    s.histogram_builds = histogram_builds.load(std::memory_order_relaxed);
-    s.replans = replans.load(std::memory_order_relaxed);
-    s.hash_joins = hash_joins.load(std::memory_order_relaxed);
-    s.merge_joins = merge_joins.load(std::memory_order_relaxed);
-    return s;
-  }
-};
+using AtomicStatisticsCounters = common::AtomicCounters<StatisticsCounters>;
 
 /// An equi-depth histogram over one attribute's live values.
 ///

@@ -10,9 +10,8 @@
 
 namespace mlds::kms {
 
-AbdlMachine::AbdlMachine(kc::KernelExecutor* executor,
-                         mbds::Controller* controller)
-    : LanguageInterface(executor), controller_(controller) {}
+AbdlMachine::AbdlMachine(kc::KernelExecutor* executor)
+    : LanguageInterface(executor) {}
 
 Result<Reply> AbdlMachine::Run(std::string_view text, bool explain) {
   trace_.clear();
@@ -73,26 +72,13 @@ Result<Reply> AbdlMachine::Commit() {
   abdl::Transaction txn = std::move(pending_);
   in_transaction_ = false;
   pending_.clear();
-  size_t affected = 0;
-  std::vector<kds::PartialResultWarning> warnings;
-  if (controller_ != nullptr) {
-    MLDS_ASSIGN_OR_RETURN(mbds::ExecutionReport report,
-                          controller_->ExecuteTransaction(txn));
-    affected = report.response.affected;
-    warnings = std::move(report.response.warnings);
-  } else {
-    // Single-engine kernel: each request is individually atomic; the
-    // buffered order is preserved.
-    for (abdl::Request& request : txn) {
-      MLDS_ASSIGN_OR_RETURN(kds::Response response,
-                            Issue(std::move(request)));
-      affected += response.affected;
-    }
-  }
-  return TextReply("transaction committed: " + std::to_string(txn.size()) +
-                       " requests, " + std::to_string(affected) +
+  const size_t requests = txn.size();
+  MLDS_ASSIGN_OR_RETURN(kds::Response response,
+                        IssueTransaction(std::move(txn)));
+  return TextReply("transaction committed: " + std::to_string(requests) +
+                       " requests, " + std::to_string(response.affected) +
                        " records affected\n",
-                   std::move(warnings));
+                   std::move(response.warnings));
 }
 
 Result<Reply> AbdlMachine::RunBatch(std::string_view text,

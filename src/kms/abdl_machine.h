@@ -9,22 +9,21 @@
 #include "common/result.h"
 #include "kc/executor.h"
 #include "kms/language_interface.h"
-#include "mbds/controller.h"
 
 namespace mlds::kms {
 
 /// The kernel's own language as a language interface: ABDL requests need
 /// no translation, so this machine parses, executes, and renders them,
 /// and keeps the one piece of session state ABDL has — the in-flight
-/// transaction. BEGIN starts buffering parsed requests, COMMIT executes
-/// the buffer atomically (through the MBDS controller's transaction
-/// pipeline, or request by request on a single engine), ABORT discards
-/// it.
+/// transaction. BEGIN starts buffering parsed requests, ABORT discards
+/// them, and COMMIT runs them through IssueTransaction: isolated from
+/// concurrent requests on a single engine, a stage pipeline on MBDS.
+/// Neither kernel rolls back: a failing request stops the transaction
+/// and the requests before it stay applied.
 class AbdlMachine : public LanguageInterface {
  public:
-  /// `executor` must outlive the machine; so must `controller`, which is
-  /// null on a single-engine kernel.
-  AbdlMachine(kc::KernelExecutor* executor, mbds::Controller* controller);
+  /// `executor` must outlive the machine.
+  explicit AbdlMachine(kc::KernelExecutor* executor);
 
   /// BEGIN / COMMIT / ABORT, or one request. A RETRIEVE's records render
   /// incrementally (kfs::TableChunkSource); other requests report the
@@ -35,7 +34,7 @@ class AbdlMachine : public LanguageInterface {
 
   /// Binds a prepared INSERT template (`<attr, ?>`) to every row, chunked
   /// into kernel batch INSERTs; inside a transaction the bound batches
-  /// buffer like any other request and apply atomically at COMMIT.
+  /// buffer like any other request and apply at COMMIT.
   Result<Reply> RunBatch(std::string_view text,
                          const ParameterRows& rows) override;
 
@@ -51,7 +50,6 @@ class AbdlMachine : public LanguageInterface {
  private:
   Result<Reply> Commit();
 
-  mbds::Controller* controller_;
   bool in_transaction_ = false;
   abdl::Transaction pending_;
 };

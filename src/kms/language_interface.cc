@@ -72,16 +72,26 @@ std::string SessionStats::ToString() const {
   return out;
 }
 
-Result<kds::Response> LanguageInterface::Issue(abdl::Request request) {
+void LanguageInterface::Note(abdl::Request& request) {
   if (explain_) abdl::SetExplain(request, true);
   trace_.push_back(abdl::ToString(request));
   stats_.abdl_requests[std::string(abdl::RequestOperation(request))] += 1;
   stats_.total_requests += 1;
+}
+
+Result<kds::Response> LanguageInterface::Issue(abdl::Request request) {
+  Note(request);
   Result<kds::Response> response = executor_->Execute(request);
   if (explain_ && response.ok() && response->plan != nullptr) {
     explain_plans_.push_back(response->plan);
   }
   return response;
+}
+
+Result<kds::Response> LanguageInterface::IssueTransaction(
+    abdl::Transaction txn) {
+  for (abdl::Request& request : txn) Note(request);
+  return executor_->ExecuteTransaction(txn);
 }
 
 void LanguageInterface::BeginExplain() {

@@ -120,6 +120,10 @@ class LanguageInterface {
   /// flags the request and collects the plan its response carries.
   Result<kds::Response> Issue(abdl::Request request);
 
+  /// Issue for a whole transaction (KernelExecutor::ExecuteTransaction):
+  /// each request is traced and counted as Issue would.
+  Result<kds::Response> IssueTransaction(abdl::Transaction txn);
+
   /// Explain mode for the statement in flight: between BeginExplain and
   /// EndExplain every request Issue() sends carries the explain flag.
   /// EndExplain returns the collected plans — one request's plan
@@ -184,6 +188,9 @@ class LanguageInterface {
   SessionStats stats_;
 
  private:
+  /// Issue's bookkeeping: explain flag, trace line, operation count.
+  void Note(abdl::Request& request);
+
   bool explain_ = false;
   std::vector<std::shared_ptr<const kds::PlanNode>> explain_plans_;
 };

@@ -10,6 +10,7 @@
 #include <string_view>
 #include <utility>
 
+#include "common/counters.h"
 #include "common/result.h"
 
 namespace mlds::kms {
@@ -43,7 +44,8 @@ std::string NormalizeSource(std::string_view source);
 /// compilation is deterministic).
 class TranslationCache {
  public:
-  /// Cumulative counters plus a point-in-time size/epoch snapshot.
+  /// Cumulative counters plus a point-in-time size/epoch snapshot,
+  /// served by STATS and `.stats` as the `cache.*` group.
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -51,12 +53,15 @@ class TranslationCache {
     /// entries invalidated by a schema-epoch bump.
     uint64_t evictions = 0;
     uint64_t epoch = 0;
-    size_t size = 0;
+    uint64_t size = 0;
 
-    double HitRate() const {
-      const uint64_t total = hits + misses;
-      return total == 0 ? 0.0 : static_cast<double>(hits) / total;
-    }
+    static constexpr common::CounterField<Stats> kCounters[] = {
+        {"cache.hits", &Stats::hits},
+        {"cache.misses", &Stats::misses},
+        {"cache.evictions", &Stats::evictions},
+        {"cache.epoch", &Stats::epoch},
+        {"cache.size", &Stats::size},
+    };
   };
 
   explicit TranslationCache(size_t capacity = 256) : capacity_(capacity) {}

@@ -895,13 +895,10 @@ Result<ExecutionReport> Controller::ExecuteDistributedJoin(
   join_inputs.left = &left;
   join_inputs.right = &right;
   kds::JoinOutcome joined = kds::ExecuteJoin(join_inputs);
-  if (joined.replanned) {
-    stats_counters_.replans.fetch_add(1, std::memory_order_relaxed);
-  }
-  auto& strategy_counter = joined.strategy == kds::JoinStrategy::kMerge
-                               ? stats_counters_.merge_joins
-                               : stats_counters_.hash_joins;
-  strategy_counter.fetch_add(1, std::memory_order_relaxed);
+  if (joined.replanned) stats_counters_.Add(&kds::StatisticsCounters::replans);
+  stats_counters_.Add(joined.strategy == kds::JoinStrategy::kMerge
+                          ? &kds::StatisticsCounters::merge_joins
+                          : &kds::StatisticsCounters::hash_joins);
   report.response.records = std::move(joined.records);
   if (request.explain) {
     kds::PlanNode join;
@@ -1099,19 +1096,12 @@ kds::IntegrityReport Controller::VerifyIntegrity() const {
   return merged;
 }
 
-kds::IntegrityCounters Controller::IntegrityStats() const {
-  kds::IntegrityCounters total;
+common::CounterSnapshot Controller::Counters() const {
+  common::CounterSnapshot total;
   for (const auto& backend : backends_) {
-    total += backend->SnapshotEngine()->integrity_stats();
+    total += backend->SnapshotEngine()->counters();
   }
-  return total;
-}
-
-kds::StatisticsCounters Controller::StatisticsStats() const {
-  kds::StatisticsCounters total = stats_counters_.Snapshot();
-  for (const auto& backend : backends_) {
-    total += backend->SnapshotEngine()->statistics_stats();
-  }
+  total += common::CounterSnapshot::Of(stats_counters_.Snapshot());
   return total;
 }
 

@@ -11,6 +11,7 @@
 #include "abdl/request.h"
 #include "abdm/schema.h"
 #include "common/backoff.h"
+#include "common/counters.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "kds/engine.h"
@@ -309,12 +310,9 @@ class Controller {
   /// the whole kernel.
   kds::IntegrityReport VerifyIntegrity() const;
 
-  /// Storage-integrity counters summed over every backend's engine.
-  kds::IntegrityCounters IntegrityStats() const;
-
-  /// Statistics & join counters: every backend engine's counts plus the
-  /// controller's own distributed-join strategy / re-plan counts.
-  kds::StatisticsCounters StatisticsStats() const;
+  /// Every backend engine's counters() summed by name, plus the
+  /// controller's own distributed-join counts in `stats.*`.
+  common::CounterSnapshot Counters() const;
 
  private:
   /// One backend's share of a fault-tolerant fan-out.

@@ -157,7 +157,7 @@ Result<std::unique_ptr<kms::LanguageInterface>> MldsSystem::OpenInterface(
       break;
     }
     case kms::Language::kAbdl:
-      made = std::make_unique<kms::AbdlMachine>(executor, controller_.get());
+      made = std::make_unique<kms::AbdlMachine>(executor);
       break;
     case kms::Language::kNone:
       return Status::InvalidArgument("cannot bind the 'none' language");
@@ -207,8 +207,7 @@ std::vector<std::string> MldsSystem::DatabaseNames() const {
 }
 
 Result<std::string> MldsSystem::ExplainAbdl(std::string_view request_text) {
-  return kms::AbdlMachine(executor_.get(), controller_.get())
-      .Explain(request_text);
+  return kms::AbdlMachine(executor_.get()).Explain(request_text);
 }
 
 std::string MldsSystem::HealthReport() const {

@@ -509,8 +509,15 @@ MldsServer::PendingReply MldsServer::ExecuteOnWorker(
       break;
     }
     case wire::FrameType::kStats: {
+      // Every counter family, in `.stats` order: cache, server, kernel.
+      wire::StatsReply snapshot;
+      snapshot.counters =
+          common::CounterSnapshot::Of(system_->translation_cache().stats());
+      snapshot.counters += common::CounterSnapshot::Of(stats());
+      snapshot.counters += system_->executor()->Counters();
+      snapshot.health = kfs::SerializeHealth(system_->Health());
       reply.type = static_cast<uint8_t>(wire::FrameType::kStatsReport);
-      reply.payload = wire::EncodeStatsReply(BuildStats());
+      reply.payload = wire::EncodeStatsReply(snapshot);
       break;
     }
     case wire::FrameType::kVerify: {
@@ -717,49 +724,6 @@ void MldsServer::UpdateInterest(Connection* conn) {
               (conn->want_write ? EPOLLOUT : 0u);
   ev.data.u64 = ConnectionTag(conn->generation, conn->fd);
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
-}
-
-wire::StatsReply MldsServer::BuildStats() const {
-  const kms::TranslationCache::Stats cache =
-      system_->translation_cache().stats();
-  wire::StatsReply stats;
-  stats.cache_hits = cache.hits;
-  stats.cache_misses = cache.misses;
-  stats.cache_evictions = cache.evictions;
-  stats.cache_epoch = cache.epoch;
-  stats.cache_size = cache.size;
-  stats.sessions_accepted = sessions_accepted_.load();
-  stats.sessions_rejected = sessions_rejected_.load();
-  stats.requests_served = requests_served_.load();
-  stats.requests_rejected = requests_rejected_.load();
-  stats.bad_frames = bad_frames_.load();
-  stats.sessions_active = sessions_active_.load();
-  stats.inflight_highwater = inflight_highwater_.load();
-  stats.write_buffer_highwater = write_buffer_highwater_.load();
-  stats.results_streamed = results_streamed_.load();
-  stats.chunks_streamed = chunks_streamed_.load();
-  stats.backpressure_stalls = backpressure_stalls_.load();
-  const kds::PoolCounters pool = system_->executor()->PoolStats();
-  stats.pool_hits = pool.hits;
-  stats.pool_misses = pool.misses;
-  stats.pool_evictions = pool.evictions;
-  stats.pool_dirty_writebacks = pool.dirty_writebacks;
-  const kds::IntegrityCounters integrity =
-      system_->executor()->IntegrityStats();
-  stats.integrity_checksum_failures = integrity.checksum_failures;
-  stats.integrity_io_errors_injected = integrity.io_errors_injected;
-  stats.integrity_io_errors_real = integrity.io_errors_real;
-  stats.integrity_pages_scrubbed = integrity.pages_scrubbed;
-  stats.integrity_files_rebuilt = integrity.files_rebuilt;
-  stats.integrity_fsyncs = integrity.fsyncs;
-  const kds::StatisticsCounters statistics =
-      system_->executor()->StatisticsStats();
-  stats.stats_histogram_builds = statistics.histogram_builds;
-  stats.stats_replans = statistics.replans;
-  stats.stats_hash_joins = statistics.hash_joins;
-  stats.stats_merge_joins = statistics.merge_joins;
-  stats.health = kfs::SerializeHealth(system_->Health());
-  return stats;
 }
 
 void MldsServer::NoteShutdownFromWire() {

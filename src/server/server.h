@@ -14,6 +14,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/frame.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -62,12 +63,27 @@ struct ServerStats {
   uint64_t requests_served = 0;
   uint64_t requests_rejected = 0;
   uint64_t bad_frames = 0;
-  uint32_t sessions_active = 0;
-  uint64_t inflight_highwater = 0;
-  uint64_t write_buffer_highwater = 0;
-  uint64_t results_streamed = 0;
-  uint64_t chunks_streamed = 0;
-  uint64_t backpressure_stalls = 0;
+  uint64_t sessions_active = 0;
+  uint64_t inflight_highwater = 0;      ///< max queued+running per session.
+  uint64_t write_buffer_highwater = 0;  ///< max outbox bytes, any conn.
+  uint64_t results_streamed = 0;        ///< bodies sent as chunk runs.
+  uint64_t chunks_streamed = 0;         ///< kResultChunk frames sent.
+  uint64_t backpressure_stalls = 0;  ///< times streaming paused on high-water.
+
+  static constexpr common::CounterField<ServerStats> kCounters[] = {
+      {"server.sessions_accepted", &ServerStats::sessions_accepted},
+      {"server.sessions_rejected", &ServerStats::sessions_rejected},
+      {"server.requests_served", &ServerStats::requests_served},
+      {"server.requests_rejected", &ServerStats::requests_rejected},
+      {"server.bad_frames", &ServerStats::bad_frames},
+      {"server.sessions_active", &ServerStats::sessions_active},
+      {"server.inflight_highwater", &ServerStats::inflight_highwater},
+      {"server.write_buffer_highwater_bytes",
+       &ServerStats::write_buffer_highwater},
+      {"server.results_streamed", &ServerStats::results_streamed},
+      {"server.chunks_streamed", &ServerStats::chunks_streamed},
+      {"server.backpressure_stalls", &ServerStats::backpressure_stalls},
+  };
 };
 
 /// The MLDS session server: the network front-end that turns the
@@ -248,8 +264,7 @@ class MldsServer {
   void Post(std::function<void()> fn);
   void DrainPosts();
 
-  wire::StatsReply BuildStats() const;  ///< any thread.
-  void NoteShutdownFromWire();          ///< any thread.
+  void NoteShutdownFromWire();  ///< any thread.
 
   MldsSystem* system_;
   ServerOptions options_;

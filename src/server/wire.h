@@ -2,11 +2,13 @@
 #define MLDS_SERVER_WIRE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "abdm/value.h"
+#include "common/counters.h"
 #include "common/frame.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -107,48 +109,20 @@ struct ResultChunk {
   std::string body;
 };
 
-/// The admin STATS reply: translation-cache counters, server counters,
-/// and the serialized kernel health, so a remote operator needs no
-/// in-process access.
+/// The admin STATS reply: every counter the server serves, named, plus
+/// the kernel health, so a remote operator needs no in-process access.
+/// On the wire: a u32 count, that many (name, u64 value), the health.
 struct StatsReply {
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_evictions = 0;
-  uint64_t cache_epoch = 0;
-  uint64_t cache_size = 0;
-  uint64_t sessions_accepted = 0;
-  uint64_t sessions_rejected = 0;
-  uint64_t requests_served = 0;
-  uint64_t requests_rejected = 0;
-  uint64_t bad_frames = 0;
-  uint32_t sessions_active = 0;
-  // --- event-loop / pipelining counters (protocol v2) ---
-  uint64_t inflight_highwater = 0;   ///< max queued+running per session.
-  uint64_t write_buffer_highwater = 0;  ///< max outbox bytes, any conn.
-  uint64_t results_streamed = 0;     ///< bodies sent as chunk runs.
-  uint64_t chunks_streamed = 0;      ///< kResultChunk frames sent.
-  uint64_t backpressure_stalls = 0;  ///< times streaming paused on high-water.
-  // --- storage buffer-pool counters (paged storage engine) ---
-  uint64_t pool_hits = 0;             ///< page fetches served from the pool.
-  uint64_t pool_misses = 0;           ///< page fetches that read the file.
-  uint64_t pool_evictions = 0;        ///< frames evicted to make room.
-  uint64_t pool_dirty_writebacks = 0; ///< dirty frames written on eviction.
-  // --- storage integrity counters (checksummed pages, fault seam) ---
-  uint64_t integrity_checksum_failures = 0;  ///< failed page verifies.
-  uint64_t integrity_io_errors_injected = 0; ///< faults served by the seam.
-  uint64_t integrity_io_errors_real = 0;     ///< genuine I/O failures.
-  uint64_t integrity_pages_scrubbed = 0;     ///< pages walked by verifies.
-  uint64_t integrity_files_rebuilt = 0;      ///< quarantine + rebuild events.
-  uint64_t integrity_fsyncs = 0;             ///< durability barriers issued.
-  // --- statistics & join subsystem counters ---
-  uint64_t stats_histogram_builds = 0;  ///< attribute histogram (re)builds.
-  uint64_t stats_replans = 0;           ///< adaptive mid-plan re-plans.
-  uint64_t stats_hash_joins = 0;        ///< joins executed hash-strategy.
-  uint64_t stats_merge_joins = 0;       ///< joins executed merge-strategy.
+  common::CounterSnapshot counters;
   std::string health;  ///< kfs::SerializeHealth text.
 
-  /// Human-readable rendering ("cache.hits 12\n...") for shells.
-  std::string ToText() const;
+  /// One "name value" line per counter, for shells.
+  std::string ToText() const { return counters.ToText(); }
+
+  /// The value of the counter named `name`, if listed.
+  std::optional<uint64_t> Find(std::string_view name) const {
+    return counters.Find(name);
+  }
 };
 
 std::string EncodeUseRequest(const UseRequest& request);

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "kfs/formatter.h"
 #include "university/university.h"
 
@@ -125,6 +128,36 @@ TEST(MldsSystemTest, MbdsBackedSystemBehavesIdentically) {
   ASSERT_TRUE(run.ok()) << run.status();
   EXPECT_EQ(run->back().records[0].GetOrNull("pname").AsString(), "Bob");
   EXPECT_GT(mlds.controller()->total_response_time_ms(), 0.0);
+}
+
+/// An ABDL COMMIT reaches the kernel through the same traced, counted
+/// path as any other request, on a single engine and on MBDS alike.
+TEST(MldsSystemTest, AbdlCommitIssuesThroughKernelExecutor) {
+  std::vector<std::string> replies;
+  for (const bool use_mbds : {false, true}) {
+    SCOPED_TRACE(use_mbds ? "mbds" : "engine");
+    MldsSystem::Options options;
+    options.use_mbds = use_mbds;
+    options.backends = 2;
+    MldsSystem mlds(options);
+    ASSERT_TRUE(mlds.LoadNetworkDatabase(kShopDdl).ok());
+    auto abdl = mlds.OpenInterface(kms::Language::kAbdl, "");
+    ASSERT_TRUE(abdl.ok()) << abdl.status();
+    for (const char* text : {"BEGIN",
+                             "INSERT (<FILE, customer>, <cname, 'ann'>)",
+                             "INSERT (<FILE, customer>, <cname, 'bob'>)"}) {
+      ASSERT_TRUE((*abdl)->Run(text, /*explain=*/false).ok()) << text;
+    }
+    EXPECT_EQ((*abdl)->statistics().total_requests, 0u);
+    auto commit = (*abdl)->Run("COMMIT", /*explain=*/false);
+    ASSERT_TRUE(commit.ok()) << commit.status();
+    replies.push_back(commit->body->Drain());
+    EXPECT_EQ((*abdl)->statistics().total_requests, 2u);
+    EXPECT_EQ(mlds.executor()->FileSize("customer"), 2u);
+  }
+  EXPECT_EQ(replies[0], replies[1]);
+  EXPECT_EQ(replies[0],
+            "transaction committed: 2 requests, 2 records affected\n");
 }
 
 TEST(MldsSystemTest, TwoSessionsOnSameDatabaseShareData) {

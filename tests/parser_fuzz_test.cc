@@ -612,6 +612,10 @@ TEST_P(ParserFuzzTest, WirePayloadDecodersSurviveGarbage) {
   result.body = "name\n----\nada\n";
   result.elapsed_ms = 1.25;
   result.warnings.push_back({2, "quarantined", "injected crash"});
+  wire::StatsReply stats;
+  stats.counters.Add("pool.hits", 12);
+  stats.counters.Add("server.sessions_active", 1);
+  stats.health = "degraded 0\n";
   const std::string valid_results[] = {
       wire::EncodeExecuteResult(result),
       wire::EncodeUseRequest({"sql", "payroll"}),
@@ -619,6 +623,7 @@ TEST_P(ParserFuzzTest, WirePayloadDecodersSurviveGarbage) {
       wire::EncodeStatsReply({}),
       wire::EncodeResultChunk({3, "name\n----\nada\n"}),
       "degraded 1\nbackend 0 healthy 3 0\nbackend 1 quarantined 0 2 hit\n",
+      wire::EncodeStatsReply(stats),
   };
   for (int trial = 0; trial < 30; ++trial) {
     for (const std::string& valid : valid_results) {
@@ -650,6 +655,37 @@ TEST_P(ParserFuzzTest, WirePayloadDecodersSurviveGarbage) {
   EXPECT_TRUE(health->degraded);
   ASSERT_EQ(health->backends.size(), 2u);
   EXPECT_EQ(health->backends[1].state, "quarantined");
+  auto stats_round = wire::DecodeStatsReply(valid_results[6]);
+  ASSERT_TRUE(stats_round.ok()) << stats_round.status();
+  EXPECT_EQ(stats_round->ToText(), stats.ToText());
+  EXPECT_EQ(stats_round->health, stats.health);
+
+  // The self-describing STATS payload comes from outside the program: a
+  // count the remaining bytes cannot hold (checked before anything is
+  // sized by it), an empty counter name, and trailing bytes are each
+  // rejected as malformed.
+  const auto stats_payload = [](uint32_t count, std::string_view name,
+                                std::string_view tail) {
+    common::PayloadWriter writer;
+    writer.PutU32(count);
+    writer.PutString(name);
+    writer.PutU64(7);
+    writer.PutString("degraded 0\n");
+    return writer.Take() + std::string(tail);
+  };
+  ASSERT_TRUE(wire::DecodeStatsReply(stats_payload(1, "pool.hits", "")).ok());
+  for (const std::string& hostile : {
+           stats_payload(0xFFFFFFFFu, "pool.hits", ""),
+           stats_payload(2, "pool.hits", ""),
+           stats_payload(1, "", ""),
+           stats_payload(1, "pool.hits", "x"),
+       }) {
+    Result<wire::StatsReply> decoded = wire::DecodeStatsReply(hostile);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
+    EXPECT_NE(decoded.status().message().find("malformed"), std::string::npos)
+        << decoded.status();
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -446,23 +446,25 @@ TEST(StorageIntegrityTest, VerifyIntegrityScrubsAndReportsCorruption) {
 // The integrity counters make the round trip through the STATS frame.
 
 TEST(StorageIntegrityTest, StatsReplyCarriesIntegrityCounters) {
+  IntegrityCounters counters;
+  counters.checksum_failures = 3;
+  counters.io_errors_injected = 5;
+  counters.io_errors_real = 1;
+  counters.pages_scrubbed = 1234;
+  counters.files_rebuilt = 2;
+  counters.fsyncs = 77;
   wire::StatsReply stats;
-  stats.integrity_checksum_failures = 3;
-  stats.integrity_io_errors_injected = 5;
-  stats.integrity_io_errors_real = 1;
-  stats.integrity_pages_scrubbed = 1234;
-  stats.integrity_files_rebuilt = 2;
-  stats.integrity_fsyncs = 77;
+  stats.counters = common::CounterSnapshot::Of(counters);
   stats.health = "healthy";
 
   auto decoded = wire::DecodeStatsReply(wire::EncodeStatsReply(stats));
   ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->integrity_checksum_failures, 3u);
-  EXPECT_EQ(decoded->integrity_io_errors_injected, 5u);
-  EXPECT_EQ(decoded->integrity_io_errors_real, 1u);
-  EXPECT_EQ(decoded->integrity_pages_scrubbed, 1234u);
-  EXPECT_EQ(decoded->integrity_files_rebuilt, 2u);
-  EXPECT_EQ(decoded->integrity_fsyncs, 77u);
+  EXPECT_EQ(decoded->Find("integrity.checksum_failures"), 3u);
+  EXPECT_EQ(decoded->Find("integrity.io_errors_injected"), 5u);
+  EXPECT_EQ(decoded->Find("integrity.io_errors_real"), 1u);
+  EXPECT_EQ(decoded->Find("integrity.pages_scrubbed"), 1234u);
+  EXPECT_EQ(decoded->Find("integrity.files_rebuilt"), 2u);
+  EXPECT_EQ(decoded->Find("integrity.fsyncs"), 77u);
   EXPECT_EQ(decoded->health, "healthy");
   const std::string text = decoded->ToText();
   EXPECT_NE(text.find("integrity.checksum_failures 3"), std::string::npos)

@@ -362,11 +362,18 @@ else
     ".health" \
     ".stats" \
     ".shutdown" \
-    | build/tools/mlds_shell 127.0.0.1 "${PORT}" --strict
+    | build/tools/mlds_shell 127.0.0.1 "${PORT}" --strict \
+    | tee build/mlds_server_smoke.shell
   wait "${SERVER_PID}"
   trap - EXIT
   grep -q "stopped" build/mlds_server_smoke.log \
     || { echo "server did not drain cleanly"; exit 1; }
+  # .stats lists one named counter from every family.
+  for counter in cache.hits server.requests_served pool.hits \
+                 integrity.fsyncs stats.merge_joins; do
+    grep -Eq "^${counter} [0-9]+$" build/mlds_server_smoke.shell \
+      || { echo ".stats lacks ${counter}"; exit 1; }
+  done
   echo "server round-trip smoke passed (port ${PORT})"
 
   echo "== streaming smoke =="
