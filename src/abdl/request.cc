@@ -1,5 +1,7 @@
 #include "abdl/request.h"
 
+#include <algorithm>
+
 namespace mlds::abdl {
 
 namespace {
@@ -33,6 +35,19 @@ std::string Modifier::ToString() const {
              ")";
   }
   return "";
+}
+
+void Modifier::ApplyTo(abdm::Record& record) const {
+  if (kind == ModifierKind::kSet) {
+    record.Set(attribute, operand);
+    return;
+  }
+  const abdm::Value cur = record.GetOrNull(attribute);
+  if (!cur.is_numeric() || !operand.is_numeric()) return;
+  record.Set(attribute,
+             cur.is_integer() && operand.is_integer()
+                 ? abdm::Value::Integer(cur.AsInteger() + operand.AsInteger())
+                 : abdm::Value::Float(cur.AsFloat() + operand.AsFloat()));
 }
 
 std::string TargetItem::ToString() const {
@@ -196,38 +211,39 @@ bool FileFootprint::ConflictsWith(const FileFootprint& later) const {
          SetsIntersect(reads, reads_all, later.writes, later.writes_all);
 }
 
+std::span<const abdm::Record> InsertedRecords(const Request& request) {
+  if (const auto* one = std::get_if<InsertRequest>(&request)) {
+    return {&one->record, 1};
+  }
+  if (const auto* batch = std::get_if<BatchInsertRequest>(&request)) {
+    return batch->records;
+  }
+  return {};
+}
+
 FileFootprint FootprintOf(const Request& request) {
   struct Visitor {
     FileFootprint operator()(const InsertRequest& r) {
-      FileFootprint fp;
-      abdm::Value file = r.record.GetOrNull(abdm::kFileAttribute);
-      if (file.is_string()) {
-        fp.writes.push_back(file.AsString());
-      } else {
-        // Malformed INSERT: order it against everything so its error
-        // surfaces at the deterministic program-order position.
-        fp.writes_all = true;
-      }
-      return fp;
+      return Insert({&r.record, 1});
     }
     FileFootprint operator()(const BatchInsertRequest& r) {
+      return Insert(r.records);
+    }
+    static FileFootprint Insert(std::span<const abdm::Record> records) {
       FileFootprint fp;
-      for (const abdm::Record& record : r.records) {
+      for (const abdm::Record& record : records) {
         abdm::Value file = record.GetOrNull(abdm::kFileAttribute);
         if (!file.is_string()) {
+          // Malformed INSERT: order it against everything so its error
+          // surfaces at the deterministic program-order position.
           fp.writes.clear();
           fp.writes_all = true;
           return fp;
         }
-        const std::string& name = file.AsString();
-        bool seen = false;
-        for (const auto& existing : fp.writes) {
-          if (existing == name) {
-            seen = true;
-            break;
-          }
+        if (std::find(fp.writes.begin(), fp.writes.end(), file.AsString()) ==
+            fp.writes.end()) {
+          fp.writes.push_back(file.AsString());
         }
-        if (!seen) fp.writes.push_back(name);
       }
       if (fp.writes.empty()) fp.writes_all = true;  // empty batch: conservative.
       return fp;

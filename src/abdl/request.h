@@ -2,6 +2,7 @@
 #define MLDS_ABDL_REQUEST_H_
 
 #include <optional>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -58,6 +59,10 @@ struct Modifier {
   abdm::Value operand;
 
   std::string ToString() const;
+
+  /// Applies the modifier to `record` (kAdd leaves a non-numeric value
+  /// as it is).
+  void ApplyTo(abdm::Record& record) const;
 
   friend bool operator==(const Modifier&, const Modifier&) = default;
 };
@@ -160,6 +165,10 @@ struct FileFootprint {
 /// file; DELETE/UPDATE write their query's file(s); RETRIEVE and both
 /// sides of RETRIEVE-COMMON read theirs.
 FileFootprint FootprintOf(const Request& request);
+
+/// The records an INSERT (its one record) or batch INSERT carries; empty
+/// for every other request.
+std::span<const abdm::Record> InsertedRecords(const Request& request);
 
 /// Returns the operation keyword of `request` ("INSERT", "RETRIEVE", ...).
 std::string_view RequestOperation(const Request& request);

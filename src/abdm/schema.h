@@ -26,6 +26,11 @@ struct AttributeDescriptor {
   /// being part of the primary keyword directory. Ignored when
   /// `directory` is true (directory attributes are always indexed).
   bool indexed = false;
+  /// UNIQUE / DUPLICATES ARE NOT ALLOWED: no two records agree on all of
+  /// a file's unique attributes; a record with a NULL among them is not
+  /// checked. Unique implies indexed (set both): the kernel's check reads
+  /// the index buckets, and the codecs store it as indexed flag value 2.
+  bool unique = false;
 
   friend bool operator==(const AttributeDescriptor&,
                          const AttributeDescriptor&) = default;

@@ -65,14 +65,6 @@ class DirectoryStats {
   /// (tests) need not override it.
   virtual bool IsSecondaryIndex(std::string_view) const { return false; }
 
-  /// Fraction of this file's blocks resident in the buffer pool's
-  /// *cache* (pinned working pages excluded), in [0, 1]. The planner
-  /// discounts candidate-set materialization cost by it: probing
-  /// another index is cheaper when the blocks it would save are cold.
-  /// 0 (the default, and always the value in write-through mode)
-  /// reproduces the pool-unaware cost model exactly.
-  virtual double cached_fraction() const { return 0.0; }
-
   /// EstimateMatches plus provenance. The default wraps EstimateMatches
   /// (an exact directory bucket count) and falls back to a heuristic
   /// live-record estimate, so existing implementations and synthetic

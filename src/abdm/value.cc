@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
+#include <functional>
 
 #include "common/strings.h"
 
@@ -83,6 +84,11 @@ int Value::Compare(const Value& other) const {
   }
   // Mixed string/numeric: numeric sorts first.
   return is_numeric() ? -1 : 1;
+}
+
+size_t Value::Hash() const {
+  if (is_numeric()) return std::hash<double>{}(AsFloat());
+  return is_string() ? std::hash<std::string>{}(AsString()) : 0;
 }
 
 std::string Value::ToString() const {

@@ -74,6 +74,10 @@ class Value {
   /// string/numeric comparisons order by kind (numeric < string).
   int Compare(const Value& other) const;
 
+  /// Hash consistent with operator==: values that compare equal hash
+  /// equal (numbers by their double value, so 1 and 1.0 agree).
+  size_t Hash() const;
+
   /// Renders the value in ABDL literal form (strings quoted).
   std::string ToString() const;
 

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <iterator>
+#include <map>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -112,6 +114,23 @@ class KernelExecutor {
   /// An executor without storage reports an empty, clean kernel.
   virtual kds::IntegrityReport VerifyIntegrity() const { return {}; }
 
+  /// Reserves `count` consecutive database-key numbers of `file` and
+  /// returns the first. Every session over this executor draws from one
+  /// counter per file, started just past the file's size, so no two
+  /// sessions are handed one key; a number can still be held by a record
+  /// keyed otherwise (before a restart, or by an ABDL writer), which the
+  /// callers probe for. Decorators forward it to the executor they wrap.
+  virtual uint64_t ReserveKeys(std::string_view file, size_t count) {
+    std::lock_guard<std::mutex> lock(keys_mutex_);
+    auto next = next_key_.find(file);
+    if (next == next_key_.end()) {
+      next = next_key_.emplace(std::string(file), FileSize(file) + 1).first;
+    }
+    const uint64_t first = next->second;
+    next->second += count;
+    return first;
+  }
+
  protected:
   /// A transaction's per-request responses merged in order.
   static kds::Response Merged(std::vector<kds::Response> parts) {
@@ -127,6 +146,10 @@ class KernelExecutor {
     }
     return total;
   }
+
+ private:
+  std::mutex keys_mutex_;
+  std::map<std::string, uint64_t, std::less<>> next_key_;
 };
 
 /// KernelExecutor over a single kds::Engine (does not own it).

@@ -33,6 +33,9 @@ class FaultyExecutor : public KernelExecutor {
   size_t FileSize(std::string_view file) const override {
     return inner_->FileSize(file);
   }
+  uint64_t ReserveKeys(std::string_view file, size_t count) override {
+    return inner_->ReserveKeys(file, count);
+  }
 
   /// While failing, the kernel reports itself degraded; otherwise the
   /// inner executor's health passes through.

@@ -28,7 +28,6 @@ Result<BufferPool::Frame*> BufferPool::Fetch(PageFile* file, uint64_t page,
     if (frame->in_lru) {
       lru_.erase(frame->lru_pos);
       frame->in_lru = false;
-      --cached_per_file_[file];
     }
     ++frame->pins;
     return frame;
@@ -94,7 +93,6 @@ void BufferPool::RemoveFrameLocked(Frame* frame) {
   if (frame->in_lru) {
     lru_.erase(frame->lru_pos);
     frame->in_lru = false;
-    --cached_per_file_[frame->file];
   }
   frames_.erase({frame->file, frame->page});
 }
@@ -135,7 +133,6 @@ void BufferPool::Unpin(Frame* frame, IoStats* io) {
   }
   frame->lru_pos = lru_.insert(lru_.end(), frame);
   frame->in_lru = true;
-  ++cached_per_file_[frame->file];
   EvictOverflowLocked(io);
 }
 
@@ -167,22 +164,12 @@ void BufferPool::Drop(PageFile* file) {
   for (auto it = frames_.begin(); it != frames_.end();) {
     Frame* frame = it->second.get();
     if (frame->file == file) {
-      if (frame->in_lru) {
-        lru_.erase(frame->lru_pos);
-        --cached_per_file_[file];
-      }
+      if (frame->in_lru) lru_.erase(frame->lru_pos);
       it = frames_.erase(it);
     } else {
       ++it;
     }
   }
-  cached_per_file_.erase(file);
-}
-
-size_t BufferPool::ResidentCached(const PageFile* file) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = cached_per_file_.find(file);
-  return it == cached_per_file_.end() ? 0 : it->second;
 }
 
 PoolCounters BufferPool::counters() const {

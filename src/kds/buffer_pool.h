@@ -94,11 +94,6 @@ class BufferPool {
   /// have released its pins (store teardown, compaction restart).
   void Drop(PageFile* file);
 
-  /// Unpinned cached frames currently resident for `file` — the
-  /// numerator of DirectoryStats::cached_fraction. Pinned working pages
-  /// are deliberately excluded so write-through mode always reports 0.
-  size_t ResidentCached(const PageFile* file) const;
-
   PoolCounters counters() const;
 
  private:
@@ -121,7 +116,6 @@ class BufferPool {
   mutable std::mutex mutex_;
   FrameMap frames_;
   std::list<Frame*> lru_;  // front = least recently used
-  std::unordered_map<const PageFile*, size_t> cached_per_file_;
   PoolCounters counters_;
   Status sticky_error_;  // first async write-back failure, if any
 };

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <map>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -728,16 +729,15 @@ std::vector<FileStore*> Engine::TouchedStores(const abdl::Request& request) {
   struct Visitor {
     Engine* engine;
     std::vector<FileStore*> operator()(const abdl::InsertRequest& r) {
-      Value file_value = r.record.GetOrNull(abdm::kFileAttribute);
-      if (!file_value.is_string()) return {};
-      FileStore* store = engine->FindFile(file_value.AsString());
-      if (store == nullptr) return {};
-      return {store};
+      return Inserted({&r.record, 1});
     }
     std::vector<FileStore*> operator()(const abdl::BatchInsertRequest& r) {
+      return Inserted(r.records);
+    }
+    std::vector<FileStore*> Inserted(std::span<const Record> records) {
       // Distinct target files in name order (the lock-acquisition order).
       std::map<std::string_view, FileStore*> by_name;
-      for (const Record& record : r.records) {
+      for (const Record& record : records) {
         Value file_value = record.GetOrNull(abdm::kFileAttribute);
         if (!file_value.is_string()) continue;
         FileStore* store = engine->FindFile(file_value.AsString());
@@ -779,10 +779,10 @@ Result<Response> Engine::ExecuteLocked(const abdl::Request& request) {
   struct Visitor {
     Engine* engine;
     Result<Response> operator()(const abdl::InsertRequest& r) {
-      return engine->ExecuteInsert(r);
+      return engine->ExecuteInsert({&r.record, 1});
     }
     Result<Response> operator()(const abdl::BatchInsertRequest& r) {
-      return engine->ExecuteBatchInsert(r);
+      return engine->ExecuteInsert(r.records);
     }
     Result<Response> operator()(const abdl::DeleteRequest& r) {
       return engine->ExecuteDelete(r);
@@ -913,32 +913,17 @@ Result<std::vector<Response>> Engine::ExecuteTransaction(
   return responses;
 }
 
-Result<Response> Engine::ExecuteInsert(const abdl::InsertRequest& req) {
-  Value file_value = req.record.GetOrNull(abdm::kFileAttribute);
-  if (!file_value.is_string()) {
-    return Status::InvalidArgument(
-        "INSERT record must carry a <FILE, name> keyword");
-  }
-  FileStore* store = FindFile(file_value.AsString());
-  if (store == nullptr) {
-    return Status::NotFound("kernel file '" + file_value.AsString() +
-                            "' not defined");
-  }
-  Response resp;
-  MLDS_RETURN_IF_ERROR(store->Insert(req.record, &resp.io).status());
-  resp.affected = 1;
-  return resp;
-}
-
-Result<Response> Engine::ExecuteBatchInsert(const abdl::BatchInsertRequest& req) {
-  if (req.records.empty()) {
+Result<std::vector<FileStore*>> Engine::CheckInsertLocked(
+    std::span<const Record> records) {
+  if (records.empty()) {
     return Status::InvalidArgument("batch INSERT carries no records");
   }
-  // Validate every record before placing any: the batch logged as one
-  // WAL entry replays all-or-nothing, so it must also apply that way.
   std::vector<FileStore*> stores;
-  stores.reserve(req.records.size());
-  for (const Record& record : req.records) {
+  stores.reserve(records.size());
+  // Each file's records are checked together, in file-name order: they
+  // must be unique against each other as well as the file.
+  std::map<std::string_view, std::vector<const Record*>> groups;
+  for (const Record& record : records) {
     Value file_value = record.GetOrNull(abdm::kFileAttribute);
     if (!file_value.is_string()) {
       return Status::InvalidArgument(
@@ -950,13 +935,34 @@ Result<Response> Engine::ExecuteBatchInsert(const abdl::BatchInsertRequest& req)
                               "' not defined");
     }
     stores.push_back(store);
+    groups[store->name()].push_back(&record);
   }
+  for (const auto& [name, group] : groups) {
+    MLDS_RETURN_IF_ERROR(FindFile(name)->CheckUnique(group));
+  }
+  return stores;
+}
+
+Result<Response> Engine::ExecuteInsert(std::span<const Record> records) {
+  // Validate every record before placing any: the request logged as one
+  // WAL entry replays all-or-nothing, so it must also apply that way.
+  MLDS_ASSIGN_OR_RETURN(std::vector<FileStore*> stores,
+                        CheckInsertLocked(records));
   Response resp;
-  for (size_t i = 0; i < req.records.size(); ++i) {
-    MLDS_RETURN_IF_ERROR(stores[i]->Insert(req.records[i], &resp.io).status());
+  for (size_t i = 0; i < records.size(); ++i) {
+    MLDS_RETURN_IF_ERROR(stores[i]->Insert(records[i], &resp.io).status());
   }
-  resp.affected = req.records.size();
+  resp.affected = records.size();
   return resp;
+}
+
+Status Engine::CheckInsert(const abdl::Request& request) {
+  std::shared_lock<std::shared_mutex> map_lock(map_mutex_);
+  std::vector<StoreLock> locks;
+  for (FileStore* store : TouchedStores(request)) {
+    locks.emplace_back(&store->mutex(), /*exclusive=*/false);
+  }
+  return CheckInsertLocked(abdl::InsertedRecords(request)).status();
 }
 
 Result<Response> Engine::ExecuteDelete(const abdl::DeleteRequest& req) {
@@ -980,32 +986,32 @@ Result<Response> Engine::ExecuteUpdate(const abdl::UpdateRequest& req) {
   Response resp;
   std::vector<PlanNode> plans;
   const abdl::Modifier& mod = req.modifier;
+  // Every routed file's rows are modified and, when the modifier touches
+  // a unique attribute, checked before any row is replaced.
+  std::vector<std::pair<FileStore*, std::vector<std::pair<RecordId, Record>>>>
+      updates;
   for (FileStore* store : Route(req.query)) {
     PlanNode plan;
     MLDS_ASSIGN_OR_RETURN(
         auto rows, store->SelectRecords(req.query, &resp.io,
                                         req.explain ? &plan : nullptr));
     if (req.explain) plans.push_back(std::move(plan));
-    for (auto& [id, old] : rows) {
-      Record updated = std::move(old);
-      switch (mod.kind) {
-        case abdl::ModifierKind::kSet:
-          updated.Set(mod.attribute, mod.operand);
-          break;
-        case abdl::ModifierKind::kAdd: {
-          Value cur = updated.GetOrNull(mod.attribute);
-          if (cur.is_numeric() && mod.operand.is_numeric()) {
-            if (cur.is_integer() && mod.operand.is_integer()) {
-              updated.Set(mod.attribute, Value::Integer(cur.AsInteger() +
-                                                        mod.operand.AsInteger()));
-            } else {
-              updated.Set(mod.attribute,
-                          Value::Float(cur.AsFloat() + mod.operand.AsFloat()));
-            }
-          }
-          break;
-        }
+    for (auto& [id, updated] : rows) mod.ApplyTo(updated);
+    const abdm::AttributeDescriptor* target =
+        store->descriptor().FindAttribute(mod.attribute);
+    if (target != nullptr && target->unique) {
+      std::vector<const Record*> records;
+      std::set<RecordId> replaced;
+      for (const auto& [id, updated] : rows) {
+        records.push_back(&updated);
+        replaced.insert(id);
       }
+      MLDS_RETURN_IF_ERROR(store->CheckUnique(records, replaced));
+    }
+    updates.emplace_back(store, std::move(rows));
+  }
+  for (auto& [store, rows] : updates) {
+    for (auto& [id, updated] : rows) {
       MLDS_RETURN_IF_ERROR(store->Replace(id, std::move(updated), &resp.io));
       ++resp.affected;
     }

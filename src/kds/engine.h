@@ -6,6 +6,7 @@
 #include <memory>
 #include <set>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -242,6 +243,12 @@ class Engine {
   /// dominate), so no other client's request interleaves with it.
   Result<std::vector<Response>> ExecuteTransaction(const abdl::Transaction& txn);
 
+  /// Runs the checks of an INSERT or batch INSERT, uniqueness included,
+  /// without applying it (file locks held shared). The MBDS controller
+  /// runs it on each backend of a multi-backend batch before fanning the
+  /// batch out, so a rejected batch applies nothing anywhere.
+  Status CheckInsert(const abdl::Request& request);
+
   /// Cumulative I/O across all executed requests, as a snapshot of the
   /// atomic counters — safe to call from any thread while requests run.
   IoStats cumulative_io() const { return cumulative_io_.Snapshot(); }
@@ -329,8 +336,14 @@ class Engine {
   /// DefineFile body; caller holds the map lock exclusively.
   Status DefineFileLocked(const abdm::FileDescriptor& descriptor);
 
-  Result<Response> ExecuteInsert(const abdl::InsertRequest& req);
-  Result<Response> ExecuteBatchInsert(const abdl::BatchInsertRequest& req);
+  /// Resolves each record's store and runs each store's uniqueness check
+  /// over its records. Caller holds the map lock and the stores' locks.
+  Result<std::vector<FileStore*>> CheckInsertLocked(
+      std::span<const abdm::Record> records);
+
+  /// INSERT and batch INSERT: the records are checked together and
+  /// applied only when every one passes.
+  Result<Response> ExecuteInsert(std::span<const abdm::Record> records);
   Result<Response> ExecuteDelete(const abdl::DeleteRequest& req);
   Result<Response> ExecuteUpdate(const abdl::UpdateRequest& req);
   Result<Response> ExecuteRetrieve(const abdl::RetrieveRequest& req);

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -59,7 +60,10 @@ FileStore::FileStore(abdm::FileDescriptor descriptor, int block_capacity,
                           : std::make_unique<PageFile>(pool_->page_bytes());
   pages_ = file_->page_count();
   for (const auto& attr : descriptor_.attributes) {
-    if (!attr.directory && attr.indexed) secondary_.insert(attr.name);
+    if (!attr.directory && (attr.indexed || attr.unique)) {
+      secondary_.insert(attr.name);
+    }
+    if (attr.unique) unique_.push_back(attr.name);
   }
   if (file_->on_disk() && file_->meta().empty()) {
     (void)file_->SetMeta(EncodeMeta());
@@ -92,10 +96,82 @@ bool FileStore::IsSecondaryIndex(std::string_view attr) const {
   return !IsDirectoryAttribute(attr) && secondary_.count(attr) > 0;
 }
 
-double FileStore::cached_fraction() const {
-  if (pages_ == 0) return 0.0;
-  double f = double(pool_->ResidentCached(file_.get())) / double(pages_);
-  return f > 1.0 ? 1.0 : f;
+Status FileStore::CheckUnique(const std::vector<const abdm::Record*>& records,
+                              const std::set<RecordId>& replaced) const {
+  const size_t k = unique_.size();
+  if (k == 0) return Status::OK();
+  auto bucket = [&](std::string_view attr,
+                    const abdm::Value& value) -> const std::set<RecordId>* {
+    auto by_attr = index_.find(attr);
+    if (by_attr == index_.end()) return nullptr;
+    auto ids = by_attr->second.find(value);
+    return ids == by_attr->second.end() ? nullptr : &ids->second;
+  };
+  auto before = [](std::span<const abdm::Value> a,
+                   std::span<const abdm::Value> b) {
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                        b.end());
+  };
+  // Records carrying one value of the database-key keyword (the attribute
+  // named after the file) are one entity's duplicated records — an
+  // AB(functional) entity with a multi-valued function is stored as
+  // several — so they may repeat each other's unique values.
+  auto one_entity = [&](const abdm::Record& a, const abdm::Record& b) {
+    const abdm::Value key = a.GetOrNull(name());
+    return !key.is_null() && key == b.GetOrNull(name());
+  };
+  // The checked records' values, k per record (a NULL exempts a record),
+  // reserved up front so the spans in `seen` stay valid; `seen` maps them
+  // to the first record holding them.
+  std::vector<abdm::Value> values;
+  values.reserve(records.size() * k);
+  std::map<std::span<const abdm::Value>, const abdm::Record*,
+           decltype(before)>
+      seen(before);
+  std::vector<const std::set<RecordId>*> buckets(k);
+  for (const abdm::Record* record : records) {
+    const size_t first = values.size();
+    for (size_t i = 0; i < k; ++i) {
+      const abdm::Value& value =
+          values.emplace_back(record->GetOrNull(unique_[i]));
+      if (value.is_null()) break;
+      buckets[i] = bucket(unique_[i], value);
+    }
+    if (values.back().is_null()) {
+      values.resize(first);
+      continue;
+    }
+    const std::span<const abdm::Value> held(&values[first], k);
+    auto [it, fresh] = seen.emplace(held, record);
+    bool clash = !fresh && !one_entity(*it->second, *record);
+    if (!clash && std::count(buckets.begin(), buckets.end(), nullptr) == 0) {
+      // A live record holding every value is in the smallest bucket and
+      // in each of the others; it clashes unless it is being replaced or
+      // is one of this record's entity.
+      std::sort(buckets.begin(), buckets.end(),
+                [](auto* a, auto* b) { return a->size() < b->size(); });
+      const abdm::Value key = record->GetOrNull(name());
+      const std::set<RecordId>* entity =
+          key.is_null() ? nullptr : bucket(name(), key);
+      clash = std::any_of(
+          buckets.front()->begin(), buckets.front()->end(), [&](RecordId id) {
+            return replaced.count(id) == 0 &&
+                   (entity == nullptr || entity->count(id) == 0) &&
+                   std::all_of(buckets.begin() + 1, buckets.end(),
+                               [id](auto* ids) { return ids->count(id) > 0; });
+          });
+    }
+    if (clash) {
+      std::string shown;
+      for (const abdm::Value& value : held) {
+        shown += (shown.empty() ? "" : ", ") + value.ToString();
+      }
+      return Status::ConstraintViolation(
+          "kernel file '" + name() + "': UNIQUE (" + Join(unique_, ", ") +
+          ") already holds (" + shown + ")");
+    }
+  }
+  return Status::OK();
 }
 
 void FileStore::IndexInsert(RecordId id, const abdm::Record& record) {
@@ -438,14 +514,13 @@ Status FileStore::ExecuteConjunction(const abdm::Conjunction& conj,
       best = IndexLookup(*driver.predicate, io);
       driver.executed = true;
       driver.actual_rows = best->size();
-      const double f = cached_fraction();
       for (size_t k = 1; k < node->children.size() && !best->empty(); ++k) {
         PlanNode& child = node->children[k];
         // The planner kept this child against the driver's estimate; the
         // survivor set may have shrunk below that since, so re-apply the
         // rule dynamically. The first skipped child ends the intersection
         // (children are cost-ordered — later ones are no cheaper).
-        if (!WorthIntersecting(child.est_rows, best->size(), f)) break;
+        if (!WorthIntersecting(child.est_rows, best->size())) break;
         std::optional<std::vector<RecordId>> next =
             IndexLookup(*child.predicate, io);
         child.executed = true;

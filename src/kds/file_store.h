@@ -92,7 +92,6 @@ class FileStore : public abdm::DirectoryStats {
   uint64_t allocated_blocks() const override { return block_count(); }
   int records_per_block() const override { return block_capacity_; }
   bool IsSecondaryIndex(std::string_view attr) const override;
-  double cached_fraction() const override;
   /// Estimate with provenance: fresh equi-depth histograms answer range
   /// predicates in O(log buckets) (`[histogram]`); equality predicates
   /// and histogram misses fall back to the exact directory bucket walk
@@ -108,6 +107,15 @@ class FileStore : public abdm::DirectoryStats {
   /// page write (write-through pool) fails the insert; the partially
   /// appended pages become dead space until compaction.
   Result<RecordId> Insert(abdm::Record record, IoStats* io);
+
+  /// The kernel's uniqueness check: fails with kConstraintViolation when
+  /// one of `records` agrees on every unique attribute (none NULL) with a
+  /// live record outside `replaced`, or with another of `records`, of a
+  /// different entity — records sharing a value of the database-key
+  /// keyword (the attribute named after the file) are one entity's. Reads
+  /// the index buckets directly; the caller holds the file lock.
+  Status CheckUnique(const std::vector<const abdm::Record*>& records,
+                     const std::set<RecordId>& replaced = {}) const;
 
   /// Builds the physical plan for `query` against this store's directory
   /// statistics (estimates filled, actuals zero).
@@ -317,6 +325,8 @@ class FileStore : public abdm::DirectoryStats {
 
   /// Non-directory attributes carrying a secondary index.
   std::set<std::string, std::less<>> secondary_;
+  /// The descriptor's unique attributes, in descriptor order.
+  std::vector<std::string> unique_;
 
   /// Per-attribute equi-depth histograms + schema epoch. Mutated only
   /// under the exclusive file lock (same discipline as index_).

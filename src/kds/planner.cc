@@ -35,18 +35,7 @@ PlanNode IndexNode(const abdm::Predicate& pred,
 }  // namespace
 
 bool WorthIntersecting(size_t next_estimate, size_t current_size) {
-  return WorthIntersecting(next_estimate, current_size, 0.0);
-}
-
-bool WorthIntersecting(size_t next_estimate, size_t current_size,
-                       double cached_fraction) {
-  if (cached_fraction < 0.0) cached_fraction = 0.0;
-  if (cached_fraction > 1.0) cached_fraction = 1.0;
-  // Blocks already resident are free to probe; only the cold remainder
-  // of the candidate set pays a materialization cost.
-  const size_t discounted =
-      next_estimate - size_t(double(next_estimate) * cached_fraction);
-  return discounted <= 4 * current_size + 16;
+  return next_estimate <= 4 * current_size + 16;
 }
 
 PlanNode PlanConjunction(const abdm::Conjunction& conj,
@@ -91,11 +80,9 @@ PlanNode PlanConjunction(const abdm::Conjunction& conj,
   // can never pass it at run time — prune it and (because the executor
   // stops at the first skip) everything after it.
   const size_t driver_estimate = indexed.front().second.rows;
-  const double cached = stats.cached_fraction();
   size_t kept = 1;
   while (kept < indexed.size() &&
-         WorthIntersecting(indexed[kept].second.rows, driver_estimate,
-                           cached)) {
+         WorthIntersecting(indexed[kept].second.rows, driver_estimate)) {
     ++kept;
   }
 

@@ -20,14 +20,6 @@ namespace mlds::kds {
 /// planner kept.
 bool WorthIntersecting(size_t next_estimate, size_t current_size);
 
-/// Pool-aware form: `cached_fraction` (DirectoryStats::cached_fraction)
-/// discounts the materialization cost — candidate blocks already
-/// resident in the buffer pool's cache cost no read, so probing another
-/// index stays worthwhile longer on a warm file. A fraction of 0
-/// (write-through mode) reduces to the rule above exactly.
-bool WorthIntersecting(size_t next_estimate, size_t current_size,
-                       double cached_fraction);
-
 /// Builds the physical plan for one conjunction against the directory
 /// statistics: the cheapest index-assisted predicate drives the fetch,
 /// further candidate sets are intersected cheapest-first, a conjunction

@@ -25,7 +25,7 @@ Status SaveSnapshot(const Engine& engine, std::ostream& out) {
     for (const auto& attr : desc->attributes) {
       out << "ATTR " << attr.name << " " << abdm::ValueKindToString(attr.kind)
           << " " << attr.max_length << " " << (attr.directory ? 1 : 0) << " "
-          << (attr.indexed ? 1 : 0) << "\n";
+          << IndexedField(attr) << "\n";
     }
     for (const auto& attr : engine.SecondaryIndexes(name)) {
       out << "INDEX " << name << " " << attr << "\n";
@@ -79,7 +79,8 @@ Status LoadSnapshotFiltered(
     } else if (text.starts_with("ATTR ")) {
       if (files.empty()) return parse_error("ATTR outside FILE");
       // ATTR <name> <kind> <max_length> <directory> [<indexed>]
-      // (snapshots written before secondary indexes carry four fields).
+      // (snapshots written before secondary indexes carry four fields;
+      // <indexed> 2 marks a unique attribute, see IndexedField).
       std::vector<std::string> parts;
       for (std::string_view piece = Trim(text.substr(5)); !piece.empty();) {
         size_t space = piece.find(' ');
@@ -105,11 +106,8 @@ Status LoadSnapshotFiltered(
         return parse_error("malformed ATTR directory flag '" + parts[3] + "'");
       }
       attr.directory = parts[3] == "1";
-      if (parts.size() == 5) {
-        if (parts[4] != "0" && parts[4] != "1") {
-          return parse_error("malformed ATTR indexed flag '" + parts[4] + "'");
-        }
-        attr.indexed = parts[4] == "1";
+      if (parts.size() == 5 && !ParseIndexedField(parts[4], &attr)) {
+        return parse_error("malformed ATTR indexed flag '" + parts[4] + "'");
       }
       files.back().attributes.push_back(std::move(attr));
     } else if (text.starts_with("INDEX ")) {

@@ -57,6 +57,18 @@ Result<abdm::ValueKind> ParseAttributeKind(std::string_view name) {
                             "'");
 }
 
+char IndexedField(const abdm::AttributeDescriptor& attr) {
+  return attr.unique ? '2' : attr.indexed ? '1' : '0';
+}
+
+bool ParseIndexedField(std::string_view field,
+                       abdm::AttributeDescriptor* attr) {
+  if (field != "0" && field != "1" && field != "2") return false;
+  attr->indexed = field != "0";
+  attr->unique = field == "2";
+  return true;
+}
+
 std::string EncodeDefineFile(const abdm::FileDescriptor& descriptor) {
   std::string out = "DEFINE " + descriptor.name;
   for (const auto& attr : descriptor.attributes) {
@@ -69,7 +81,7 @@ std::string EncodeDefineFile(const abdm::FileDescriptor& descriptor) {
     out += ' ';
     out += attr.directory ? '1' : '0';
     out += ' ';
-    out += attr.indexed ? '1' : '0';
+    out += IndexedField(attr);
   }
   return out;
 }
@@ -98,14 +110,16 @@ Result<abdm::FileDescriptor> DecodeDefineFile(std::string_view body) {
       fields.push_back(piece.substr(cut + 1));
       piece = Trim(piece.substr(0, cut));
     }
+    abdm::AttributeDescriptor attr;
     bool five_fields =
         fields.size() == 4 && !piece.empty() &&
-        (fields[0] == "0" || fields[0] == "1") &&
+        ParseIndexedField(fields[0], &attr) &&
         (fields[1] == "0" || fields[1] == "1") &&
         ParseSize(fields[2]) != std::string_view::npos &&
         ParseAttributeKind(fields[3]).ok();
     if (!five_fields) {
       // Legacy form: exactly three trailing fields.
+      attr = {};
       piece = whole_piece;
       fields.clear();
       for (size_t cut = piece.rfind(' ');
@@ -119,7 +133,6 @@ Result<abdm::FileDescriptor> DecodeDefineFile(std::string_view body) {
                                   std::string(piece) + "'");
       }
     }
-    abdm::AttributeDescriptor attr;
     attr.name = std::string(piece);
     const std::string_view kind_field = five_fields ? fields[3] : fields[2];
     const std::string_view len_field = five_fields ? fields[2] : fields[1];
@@ -136,7 +149,6 @@ Result<abdm::FileDescriptor> DecodeDefineFile(std::string_view body) {
                                 std::string(dir_field) + "'");
     }
     attr.directory = dir_field == "1";
-    attr.indexed = five_fields && fields[0] == "1";
     descriptor.attributes.push_back(std::move(attr));
   }
   return descriptor;

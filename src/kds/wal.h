@@ -40,6 +40,7 @@ class Engine;
 /// Payload grammar:
 ///
 ///   DEFINE <file> :: <attr> <kind> <max_length> <directory> <indexed> :: ...
+///                                  (<indexed>: 0 no, 1 yes, 2 unique)
 ///   INDEX <file> <attr>               -- secondary index built on demand
 ///   REQUEST <abdl request>            -- auto-committed single request
 ///   BEGIN <txn_id>
@@ -62,6 +63,14 @@ uint64_t WalChecksum(std::string_view payload);
 /// as written by abdm::ValueKindToString. Shared by the WAL's DEFINE
 /// entries and the snapshot's ATTR lines.
 Result<abdm::ValueKind> ParseAttributeKind(std::string_view name);
+
+/// The <indexed> field of a DEFINE attribute or snapshot ATTR line: '0',
+/// '1' (indexed) or '2' (unique and indexed; older logs never hold it).
+char IndexedField(const abdm::AttributeDescriptor& attr);
+
+/// Sets `attr`'s flags from an <indexed> field; false when malformed.
+bool ParseIndexedField(std::string_view field,
+                       abdm::AttributeDescriptor* attr);
 
 /// Renders `descriptor` as a one-line DEFINE payload.
 std::string EncodeDefineFile(const abdm::FileDescriptor& descriptor);

@@ -623,30 +623,6 @@ Result<Record> DaplexMachine::BuildCreateRecord(
     }
   }
 
-  // Uniqueness constraints carried into the transformed schema.
-  const network::RecordType* rt = schema_->FindRecord(type);
-  if (rt != nullptr) {
-    std::vector<Predicate> preds = {
-        EqStr(std::string(abdm::kFileAttribute), type)};
-    bool any = false;
-    for (const auto& attr : rt->attributes) {
-      if (attr.duplicates_allowed) continue;
-      Value v = record.GetOrNull(attr.name);
-      if (v.is_null()) continue;
-      preds.push_back(Predicate{attr.name, RelOp::kEq, v});
-      any = true;
-    }
-    if (any) {
-      abdl::RetrieveRequest probe;
-      probe.query = Query::And(std::move(preds));
-      probe.targets = {abdl::TargetItem{KeyAttribute(type)}};
-      MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(probe));
-      if (!resp.records.empty()) {
-        return Status::ConstraintViolation(
-            "CREATE " + type + " violates a UNIQUE constraint");
-      }
-    }
-  }
   return record;
 }
 

@@ -62,9 +62,9 @@ class DaplexMachine : public LanguageInterface {
   Result<std::vector<abdm::Record>> Execute(const daplex::ForEachQuery& query);
 
   /// CREATE <type> (fn = value, ...): creates an entity, enforcing
-  /// referential integrity for entity-valued assignments, the uniqueness
-  /// constraints, and (for subtypes) supertype existence plus the overlap
-  /// table.
+  /// referential integrity for entity-valued assignments and (for
+  /// subtypes) supertype existence plus the overlap table. The kernel
+  /// checks the uniqueness constraints when it applies the INSERT.
   Result<Outcome> Create(const daplex::CreateStatement& statement);
 
   /// UPDATE <type> [SUCH THAT ...] (fn = value, ...): assigns new values
@@ -139,7 +139,7 @@ class DaplexMachine : public LanguageInterface {
 
   /// The record-construction half of CREATE: validates every assignment
   /// (supertype keys, referential integrity, function class), enforces
-  /// the overlap table and uniqueness constraints, and fills the
+  /// the overlap table, and fills the
   /// member-side set keywords. `row` supplies the values bound to the
   /// statement's `?` markers, in assignment order (null for a literal
   /// statement). Shared by Create and ExecuteBatch.

@@ -403,34 +403,6 @@ Result<std::string> DmlMachine::RequireSetOwner(std::string_view set) const {
   return currency->owner_dbkey;
 }
 
-Status DmlMachine::CheckDuplicates(const network::RecordType& record,
-                                   const Record& candidate) {
-  // The items under a DUPLICATES ARE NOT ALLOWED clause are unique in
-  // combination: form one RETRIEVE over the conjunction of their values.
-  std::vector<Predicate> preds = {
-      EqStr(std::string(abdm::kFileAttribute), record.name)};
-  bool any = false;
-  for (const auto& attr : record.attributes) {
-    if (attr.duplicates_allowed) continue;
-    Value v = candidate.GetOrNull(attr.name);
-    if (v.is_null()) continue;
-    preds.push_back(Eq(attr.name, std::move(v)));
-    any = true;
-  }
-  if (!any) return Status::OK();
-  RetrieveRequest probe;
-  probe.query = Query::And(std::move(preds));
-  probe.targets = {abdl::TargetItem{KeyAttribute(record.name)}};
-  MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(probe));
-  if (!resp.records.empty()) {
-    return Status::ConstraintViolation(
-        "STORE " + record.name +
-        " violates DUPLICATES ARE NOT ALLOWED: a record with the same "
-        "unique item values exists");
-  }
-  return Status::OK();
-}
-
 bool DmlMachine::OverlapDeclared(std::string_view a, std::string_view b) const {
   if (mapping_ == nullptr) return false;
   auto contains = [](const std::vector<std::string>& list,
@@ -750,7 +722,7 @@ Result<DmlResult> DmlMachine::Get(const codasyl::GetStatement& s) {
 Result<DmlMachine::BuiltStore> DmlMachine::BuildStoreRecord(
     const network::RecordType& rt) {
   const std::string& name = rt.name;
-  MLDS_ASSIGN_OR_RETURN(std::string dbkey, AllocateKey(name, &next_key_[name]));
+  MLDS_ASSIGN_OR_RETURN(std::string dbkey, AllocateKey(name));
 
   Record record;
   record.Set(std::string(abdm::kFileAttribute), Value::String(name));
@@ -760,8 +732,9 @@ Result<DmlMachine::BuiltStore> DmlMachine::BuildStoreRecord(
     if (value.has_value()) record.Set(attr.name, *value);
   }
 
-  // Duplicates condition (Ch. VI.G factor 3).
-  MLDS_RETURN_IF_ERROR(CheckDuplicates(rt, record));
+  // The duplicates condition (Ch. VI.G factor 3) is the kernel's: the
+  // INSERT below is the STORE's only mutation, so a rejected duplicate
+  // leaves nothing behind.
 
   // Set membership. Automatic sets connect now; manual member-side sets
   // start unattached (NULL). SYSTEM sets contribute nothing.

@@ -2,7 +2,6 @@
 #define MLDS_KMS_DML_MACHINE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -183,10 +182,7 @@ class DmlMachine : public LanguageInterface {
   void CommitStoreCurrencies(std::string_view record_type,
                              const BuiltStore& built);
 
-  /// STORE support: duplicates check (DUPLICATES ARE NOT ALLOWED) and the
-  /// Daplex overlap-table check.
-  Status CheckDuplicates(const network::RecordType& record,
-                         const abdm::Record& candidate);
+  /// STORE support: the Daplex overlap-table check.
   Status CheckOverlap(std::string_view subtype, const std::string& isa_set,
                       const std::string& owner_key);
 
@@ -204,7 +200,6 @@ class DmlMachine : public LanguageInterface {
   codasyl::CurrencyIndicatorTable cit_;
   codasyl::RequestBuffer rb_;
   std::vector<TraceEntry> translations_;
-  std::map<std::string, uint64_t> next_key_;
 };
 
 }  // namespace mlds::kms

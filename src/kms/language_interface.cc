@@ -105,26 +105,23 @@ std::shared_ptr<const kds::PlanNode> LanguageInterface::EndExplain() {
 }
 
 Result<std::vector<std::string>> LanguageInterface::AllocateKeys(
-    std::string_view file, size_t count, uint64_t* cursor) {
-  uint64_t next = cursor != nullptr && *cursor != 0
-                      ? *cursor
-                      : executor_->FileSize(file) + 1;
+    std::string_view file, size_t count) {
   std::vector<std::string> keys;
   keys.reserve(count);
   while (keys.size() < count) {
-    std::string candidate = transform::MakeDbKey(file, next);
-    MLDS_ASSIGN_OR_RETURN(bool taken, RecordExists(file, candidate));
-    ++next;
-    if (!taken) keys.push_back(std::move(candidate));
+    const size_t wanted = count - keys.size();
+    const uint64_t first = executor_->ReserveKeys(file, wanted);
+    for (uint64_t n = first; n < first + wanted; ++n) {
+      std::string candidate = transform::MakeDbKey(file, n);
+      MLDS_ASSIGN_OR_RETURN(bool taken, RecordExists(file, candidate));
+      if (!taken) keys.push_back(std::move(candidate));
+    }
   }
-  if (cursor != nullptr) *cursor = next;
   return keys;
 }
 
-Result<std::string> LanguageInterface::AllocateKey(std::string_view file,
-                                                   uint64_t* cursor) {
-  MLDS_ASSIGN_OR_RETURN(std::vector<std::string> keys,
-                        AllocateKeys(file, 1, cursor));
+Result<std::string> LanguageInterface::AllocateKey(std::string_view file) {
+  MLDS_ASSIGN_OR_RETURN(std::vector<std::string> keys, AllocateKeys(file, 1));
   return std::move(keys.front());
 }
 

@@ -132,15 +132,13 @@ class LanguageInterface {
   std::shared_ptr<const kds::PlanNode> EndExplain();
   bool explaining() const { return explain_; }
 
-  /// Allocates fresh database keys for `file`, probing the kernel for
-  /// each candidate, so the keys are free before any record using them
-  /// inserts. Probing starts at `*cursor` when it is non-zero, else just
-  /// past the file's size; a cursor is left at the next unprobed number.
+  /// Allocates fresh database keys for `file`: numbers reserved from the
+  /// executor (kc::KernelExecutor::ReserveKeys, so concurrent sessions
+  /// never share one), each probed so the keys are free before any
+  /// record using them inserts.
   Result<std::vector<std::string>> AllocateKeys(std::string_view file,
-                                                size_t count,
-                                                uint64_t* cursor = nullptr);
-  Result<std::string> AllocateKey(std::string_view file,
-                                  uint64_t* cursor = nullptr);
+                                                size_t count);
+  Result<std::string> AllocateKey(std::string_view file);
 
   /// True when a record of `file` with database key `dbkey` exists.
   Result<bool> RecordExists(std::string_view file, std::string_view dbkey);

@@ -4,7 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "common/strings.h"
 #include "kfs/formatter.h"
 #include "transform/abdm_mapping.h"
 
@@ -151,14 +150,12 @@ Result<SqlMachine::Outcome> SqlMachine::ExecuteBatch(
     return translation->prepared->request.params_per_row();
   };
   Outcome outcome;
-  // UNIQUE combinations seen so far in this batch, across chunks.
-  std::set<std::string> seen_unique;
   auto run = [&](size_t begin, size_t end) -> Status {
     const PreparedInsert& prepared = *translation->prepared;
     MLDS_ASSIGN_OR_RETURN(abdl::BatchInsertRequest batch,
                           prepared.request.BindBatch(rows, begin, end));
     for (const Record& record : batch.records) {
-      MLDS_RETURN_IF_ERROR(CheckInsertRecord(*table, record, &seen_unique));
+      MLDS_RETURN_IF_ERROR(CheckNotNull(*table, record));
     }
     MLDS_ASSIGN_OR_RETURN(
         std::vector<std::string> keys,
@@ -303,25 +300,19 @@ Result<Query> SqlMachine::BuildQuery(const Table& table,
 
 Result<std::vector<std::string>> SqlMachine::AllocateTupleKeys(
     std::string_view table, size_t count) {
-  uint64_t next = next_key_[std::string(table)];
-  if (next == 0) next = executor_->FileSize(table) + 1;
-  // Probe forward to the first free key, then claim `count` consecutive
-  // keys from there: one probe per batch instead of one per record. The
-  // cursor never re-issues a claimed key, so repeated batches through
-  // this machine stay collision-free (see the header for the
-  // single-writer caveat).
-  while (true) {
+  // One probe per batch: reserve `count` consecutive keys, again while
+  // the first of them is already held.
+  uint64_t first = 0;
+  for (bool taken = true; taken;) {
+    first = executor_->ReserveKeys(table, count);
     MLDS_ASSIGN_OR_RETURN(
-        bool taken, RecordExists(table, transform::MakeDbKey(table, next)));
-    if (!taken) break;
-    ++next;
+        taken, RecordExists(table, transform::MakeDbKey(table, first)));
   }
   std::vector<std::string> keys;
   keys.reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    keys.push_back(transform::MakeDbKey(table, next + i));
+    keys.push_back(transform::MakeDbKey(table, first + i));
   }
-  next_key_[std::string(table)] = next + count;
   return keys;
 }
 
@@ -452,44 +443,13 @@ Result<SqlMachine::CompiledSql> SqlMachine::CompileSelect(
   return compiled;
 }
 
-Status SqlMachine::CheckInsertRecord(const Table& table, const Record& record,
-                                     std::set<std::string>* seen_unique) {
-  // NOT NULL enforcement.
+Status SqlMachine::CheckNotNull(const Table& table, const Record& record) {
   for (const auto& column : table.columns) {
     if (column.not_null && record.GetOrNull(column.name).is_null()) {
       return Status::ConstraintViolation("column '" + column.name +
                                          "' is NOT NULL");
     }
   }
-  // UNIQUE enforcement (combination semantics, one probe) — against the
-  // live data, and against earlier rows of the same batch (which the
-  // kernel probe cannot see yet).
-  if (table.unique_columns.empty()) return Status::OK();
-  std::vector<Predicate> preds = {FilePred(table.name)};
-  std::string combo;
-  bool all_present = true;
-  for (const auto& unique : table.unique_columns) {
-    Value v = record.GetOrNull(unique);
-    if (v.is_null()) {
-      all_present = false;
-      break;
-    }
-    combo += v.ToString();
-    combo += '\x1f';
-    preds.push_back(Predicate{unique, RelOp::kEq, std::move(v)});
-  }
-  if (!all_present) return Status::OK();
-  const Status violation = Status::ConstraintViolation(
-      "INSERT violates UNIQUE(" + Join(table.unique_columns, ", ") +
-      ") on '" + table.name + "'");
-  if (seen_unique != nullptr && !seen_unique->insert(combo).second) {
-    return violation;
-  }
-  abdl::RetrieveRequest probe;
-  probe.query = Query::And(std::move(preds));
-  probe.targets = {abdl::TargetItem{KeyAttribute(table.name)}};
-  MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(probe));
-  if (!resp.records.empty()) return violation;
   return Status::OK();
 }
 
@@ -511,14 +471,13 @@ Result<SqlMachine::Outcome> SqlMachine::Insert(const sql::InsertStatement& s) {
   }
   std::vector<Record> records;
   records.reserve(1 + s.more_rows.size());
-  std::set<std::string> seen_unique;
   auto build = [&](const std::vector<Value>& row) -> Status {
     Record record;
     record.Set(std::string(abdm::kFileAttribute), Value::String(s.table));
     for (size_t i = 0; i < s.columns.size(); ++i) {
       record.Set(s.columns[i], row[i]);
     }
-    MLDS_RETURN_IF_ERROR(CheckInsertRecord(*table, record, &seen_unique));
+    MLDS_RETURN_IF_ERROR(CheckNotNull(*table, record));
     records.push_back(std::move(record));
     return Status::OK();
   };

@@ -2,10 +2,8 @@
 #define MLDS_KMS_SQL_MACHINE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,12 +25,13 @@ namespace mlds::kms {
 ///
 ///   SELECT (one table)  -> RETRIEVE (query) (targets) [BY col]
 ///   SELECT (two tables) -> RETRIEVE-COMMON over the equi-join column
-///   INSERT              -> [UNIQUE probe] + INSERT
+///   INSERT              -> INSERT (batch INSERT for several rows)
 ///   UPDATE              -> one kernel UPDATE per SET assignment
 ///   DELETE              -> DELETE
 ///
-/// Constraints enforced: NOT NULL on INSERT, UNIQUE(cols) on INSERT,
-/// column existence everywhere.
+/// Constraints enforced here: NOT NULL on INSERT and UPDATE, column
+/// existence everywhere. UNIQUE(cols) is the kernel's: the columns carry
+/// the kernel's unique flag, checked on every INSERT and UPDATE.
 ///
 /// EXPLAIN statements compile to the same kernel requests with the abdl
 /// explain flag set: they execute normally and additionally surface the
@@ -126,12 +125,9 @@ class SqlMachine : public LanguageInterface {
       const sql::InsertStatement& statement);
   Result<Outcome> RunCompiled(const CompiledSql& compiled);
 
-  /// NOT NULL + UNIQUE enforcement for one record about to insert into
-  /// `table`. `seen_unique` dedupes unique-column combinations *within*
-  /// a batch (the kernel probe only sees already-inserted data).
-  Status CheckInsertRecord(const relational::Table& table,
-                           const abdm::Record& record,
-                           std::set<std::string>* seen_unique);
+  /// NOT NULL enforcement for one record about to insert into `table`.
+  Status CheckNotNull(const relational::Table& table,
+                      const abdm::Record& record);
 
   /// Resolves the table a column reference belongs to, and checks the
   /// column exists. `tables` lists the statement's FROM tables.
@@ -143,16 +139,13 @@ class SqlMachine : public LanguageInterface {
   Result<abdm::Query> BuildQuery(const relational::Table& table,
                                  const sql::WhereClause& where) const;
 
-  /// Allocates `count` consecutive tuple keys: probes the cursor forward
-  /// to the first free key, then claims the contiguous range. The range
-  /// claim assumes bulk loads are single-writer on the table (this
-  /// machine's cursor never re-issues a claimed key); concurrent inserts
-  /// through *another* session could collide with the tail of the range.
+  /// Allocates `count` consecutive tuple keys reserved from the executor
+  /// (shared by every session, see kc::KernelExecutor::ReserveKeys),
+  /// probing only the first: a range past a held key is taken as free.
   Result<std::vector<std::string>> AllocateTupleKeys(std::string_view table,
                                                      size_t count);
 
   const relational::Schema* schema_;
-  std::map<std::string, uint64_t> next_key_;
 };
 
 }  // namespace mlds::kms

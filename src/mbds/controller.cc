@@ -7,6 +7,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -34,6 +35,21 @@ bool IsMutationRequest(const abdl::Request& request) {
          std::holds_alternative<abdl::BatchInsertRequest>(request) ||
          std::holds_alternative<abdl::DeleteRequest>(request) ||
          std::holds_alternative<abdl::UpdateRequest>(request);
+}
+
+/// Hash of `record`'s values of the unique attributes of `file`, or
+/// nullopt when the file has none or one of them is NULL (such a record
+/// is never checked, so it may go anywhere).
+std::optional<size_t> UniqueKeyHash(const abdm::FileDescriptor& file,
+                                    const abdm::Record& record) {
+  std::optional<size_t> hash;
+  for (const abdm::AttributeDescriptor& attr : file.attributes) {
+    if (!attr.unique) continue;
+    const abdm::Value value = record.GetOrNull(attr.name);
+    if (value.is_null()) return std::nullopt;
+    hash = hash.value_or(0) * 1099511628211ull ^ value.Hash();
+  }
+  return hash;
 }
 
 /// Appends `warning` unless an identical one is already present (a
@@ -286,13 +302,45 @@ bool Controller::HasFile(std::string_view file) const {
   return backends_.front()->engine().HasFile(file);
 }
 
+std::shared_ptr<kds::Engine> Controller::SchemaEngine() const {
+  // Any available backend's engine knows every file's descriptor.
+  size_t known = 0;
+  while (known + 1 < backends_.size() && !backends_[known]->available()) {
+    ++known;
+  }
+  return backends_[known]->SnapshotEngine();
+}
+
+bool Controller::MovesUniqueKey(const abdl::UpdateRequest& update) const {
+  if (backends_.size() < 2) return false;
+  std::shared_ptr<kds::Engine> schema = SchemaEngine();
+  const std::string file = update.query.SingleFile();
+  for (const std::string& name :
+       file.empty() ? schema->FileNames() : std::vector<std::string>{file}) {
+    const abdm::FileDescriptor* descriptor = schema->FindDescriptor(name);
+    const abdm::AttributeDescriptor* attr =
+        descriptor == nullptr
+            ? nullptr
+            : descriptor->FindAttribute(update.modifier.attribute);
+    if (attr != nullptr && attr->unique) return true;
+  }
+  return false;
+}
+
 Result<ExecutionReport> Controller::Execute(const abdl::Request& request) {
   MaybeReintegrate();
+  const auto* update = std::get_if<abdl::UpdateRequest>(&request);
+  const bool moves = update != nullptr && MovesUniqueKey(*update);
+  std::shared_lock<std::shared_mutex> shared(placement_mutex_,
+                                             std::defer_lock);
+  std::unique_lock<std::shared_mutex> exclusive(placement_mutex_,
+                                                std::defer_lock);
+  moves ? exclusive.lock() : shared.lock();
   Result<ExecutionReport> result =
-      std::holds_alternative<abdl::InsertRequest>(request)
-          ? ExecuteInsert(std::get<abdl::InsertRequest>(request))
-      : std::holds_alternative<abdl::BatchInsertRequest>(request)
-          ? ExecuteBatchInsert(std::get<abdl::BatchInsertRequest>(request))
+      moves ? ExecuteKeyUpdate(*update)
+      : std::holds_alternative<abdl::InsertRequest>(request) ||
+              std::holds_alternative<abdl::BatchInsertRequest>(request)
+          ? ExecuteInsert(request)
           : ExecuteBroadcast(request);
   if (result.ok()) {
     total_response_ms_.fetch_add(result->response_time_ms,
@@ -483,104 +531,42 @@ void Controller::ApplySlotHealth(
 }
 
 Result<ExecutionReport> Controller::ExecuteInsert(
-    const abdl::InsertRequest& request) {
+    const abdl::Request& request) {
   const size_t n = backends_.size();
-  // Record distribution: round-robin spreads every file evenly over the
-  // disks; hash placement derives the backend from the record's database
-  // key so placement is order-independent.
-  size_t target =
-      insert_cursor_.fetch_add(1, std::memory_order_relaxed) % n;
-  if (options_.placement == PlacementPolicy::kHashKey &&
-      request.record.keywords().size() >= 2) {
-    const abdm::Keyword& key = request.record.keywords()[1];
-    target = std::hash<std::string>{}(key.attribute + "=" +
-                                      key.value.ToString()) %
-             n;
-  }
-
-  const auto start = std::chrono::steady_clock::now();
-  auto shared_req =
-      std::make_shared<const abdl::Request>(abdl::Request(request));
-  const std::string payload = "REQUEST " + abdl::ToString(*shared_req);
-
-  std::vector<kds::PartialResultWarning> warnings;
-  Status last_failure = Status::Unavailable("no available backends");
-  // Failover: if the placed backend faults, the record goes to the next
-  // available one (the broadcast read path finds it wherever it lives).
-  for (size_t tried = 0; tried < n; ++tried) {
-    const size_t i = (target + tried) % n;
-    Backend& backend = *backends_[i];
-    if (!backend.available()) {
-      backend.health().OnQuarantinedRequest();
-      continue;
-    }
-    std::vector<FanoutSlot> slots = FanOutWithFaults({{i, shared_req}});
-    FanoutSlot& slot = slots.front();
-    if (slot.fault == FaultKind::kNone && !slot.timed_out) {
-      if (!slot.status.ok()) return slot.status;  // genuine engine error
-      // Success: the record now belongs to backend i's partition, so its
-      // log — the partition's source of truth for rebuilds — records it.
-      // (Logging after the apply, unlike broadcasts, so a failed-over
-      // insert never lingers in a dead backend's log as a duplicate.)
-      (void)backend.wal().Append(payload);
-      backend.health().OnSuccess();
-      const double total_ms = slot.ms + slot.backoff_ms;
-      ExecutionReport report;
-      report.backend_times_ms.assign(n, 0.0);
-      report.backend_times_ms[i] = total_ms;
-      report.response.affected = slot.response.affected;
-      report.response.io = slot.response.io;
-      report.response.warnings = std::move(warnings);
-      report.response_time_ms = options_.bus.RoundTripMs() + total_ms;
-      report.wall_time_ms = ElapsedMs(start);
-      return report;
-    }
-    ApplySlotHealth(i, slot, /*mutation=*/true, &warnings);
-    last_failure = slot.status;
-    if (slot.timed_out && slot.fault == FaultKind::kNone) {
-      // A genuine timeout (not an injected stall) is ambiguous: the
-      // engine may have applied the record after we gave up. Re-placing
-      // it could duplicate, so report the unknown outcome instead. The
-      // backend is quarantined; its rebuild resolves the ambiguity
-      // toward "not inserted", matching this error.
-      return Status::Unavailable(
-          "insert outcome unknown: " + slot.status.message());
-    }
-    // Injected error/stall/crash all fire before the engine touches the
-    // record, so failing over cannot duplicate it.
-  }
-  return last_failure;
-}
-
-Result<ExecutionReport> Controller::ExecuteBatchInsert(
-    const abdl::BatchInsertRequest& request) {
-  const size_t n = backends_.size();
-  if (request.records.empty()) {
+  const std::span<const abdm::Record> records = abdl::InsertedRecords(request);
+  if (records.empty()) {
     return Status::InvalidArgument("batch INSERT carries no records");
   }
-  // Partition by the placement policy, one sub-batch per backend:
-  // consecutive records still land on consecutive backends (round-robin)
-  // or wherever their database key hashes — exactly the partitions the
-  // records would form inserted one by one, so the broadcast read path is
-  // oblivious to how they arrived. Each backend then pays one request and
-  // one WAL entry for its whole sub-batch instead of one per record.
+  // Placement, one sub-batch per backend: a record lands where it would
+  // have inserted alone — where its unique values hash, so equal keys
+  // meet on the one backend that checks them, else round-robin — and
+  // each backend pays one request and one WAL entry for its sub-batch.
+  std::shared_ptr<kds::Engine> schema = SchemaEngine();
   std::vector<abdl::BatchInsertRequest> parts(n);
-  for (const abdm::Record& record : request.records) {
-    size_t target =
-        insert_cursor_.fetch_add(1, std::memory_order_relaxed) % n;
-    if (options_.placement == PlacementPolicy::kHashKey &&
-        record.keywords().size() >= 2) {
-      const abdm::Keyword& key = record.keywords()[1];
-      target = std::hash<std::string>{}(key.attribute + "=" +
-                                        key.value.ToString()) %
-               n;
+  std::vector<bool> pinned(n, false);
+  const abdm::FileDescriptor* descriptor = nullptr;
+  for (const abdm::Record& record : records) {
+    const abdm::Value file = record.GetOrNull(abdm::kFileAttribute);
+    if (!file.is_string()) {
+      descriptor = nullptr;
+    } else if (descriptor == nullptr || descriptor->name != file.AsString()) {
+      descriptor = schema->FindDescriptor(file.AsString());
     }
+    const std::optional<size_t> hash =
+        descriptor != nullptr ? UniqueKeyHash(*descriptor, record)
+                              : std::nullopt;
+    const size_t target =
+        hash.has_value()
+            ? *hash % n
+            : insert_cursor_.fetch_add(1, std::memory_order_relaxed) % n;
+    if (hash.has_value()) pinned[target] = true;
     parts[target].records.push_back(record);
   }
 
   struct PendingPart {
     size_t target = 0;  ///< placed backend
     size_t tried = 0;   ///< failover offset from the placed backend
+    bool pinned = false;  ///< holds unique-keyed records: never fails over
     std::shared_ptr<const abdl::Request> request;
     std::string payload;
   };
@@ -589,10 +575,30 @@ Result<ExecutionReport> Controller::ExecuteBatchInsert(
     if (parts[i].records.empty()) continue;
     PendingPart part;
     part.target = i;
+    part.pinned = pinned[i];
+    // A single INSERT keeps its own request and log payload.
     part.request = std::make_shared<const abdl::Request>(
-        abdl::Request(std::move(parts[i])));
+        std::holds_alternative<abdl::InsertRequest>(request)
+            ? request
+            : abdl::Request(std::move(parts[i])));
     part.payload = "REQUEST " + abdl::ToString(*part.request);
     pending.push_back(std::move(part));
+  }
+
+  // When the insert spans several backends, each backend owning unique
+  // keys first checks its sub-batch, so a rejected insert applies nothing
+  // anywhere. (A conflicting insert can still slip in between this check
+  // and the apply; the apply re-checks under the file lock and rejects
+  // it there — see DESIGN "Uniqueness".)
+  if (pending.size() > 1) {
+    std::vector<const PendingPart*> owners;
+    for (const PendingPart& part : pending) {
+      if (part.pinned) owners.push_back(&part);
+    }
+    MLDS_RETURN_IF_ERROR(RunParallel(owners.size(), [&](size_t k) {
+      return backends_[owners[k]->target]->SnapshotEngine()->CheckInsert(
+          *owners[k]->request);
+    }));
   }
 
   const auto start = std::chrono::steady_clock::now();
@@ -602,16 +608,14 @@ Result<ExecutionReport> Controller::ExecuteBatchInsert(
   double max_ms = 0.0;
   Status last_failure = Status::Unavailable("no available backends");
 
-  // Sub-batches fan out to their backends concurrently. A sub-batch whose
-  // backend faults (injected faults fire before the engine touches any
-  // record) fails over whole to the next available backend in the next
-  // round, mirroring the single-record failover loop.
+  // Sub-batches fan out to their backends concurrently. A round-robin
+  // sub-batch whose backend faults (injected faults fire before the
+  // engine touches any record) fails over whole to the next available
+  // backend in the next round.
   while (!pending.empty()) {
     std::vector<FanoutJob> jobs;
-    std::vector<size_t> job_part;
     std::vector<size_t> job_backend;
-    for (size_t p = 0; p < pending.size(); ++p) {
-      PendingPart& part = pending[p];
+    for (PendingPart& part : pending) {
       size_t chosen = n;
       while (part.tried < n) {
         const size_t i = (part.target + part.tried) % n;
@@ -620,24 +624,34 @@ Result<ExecutionReport> Controller::ExecuteBatchInsert(
           break;
         }
         backends_[i]->health().OnQuarantinedRequest();
+        if (part.pinned) break;
         ++part.tried;
       }
       if (chosen == n) return last_failure;
       jobs.push_back({chosen, part.request});
-      job_part.push_back(p);
       job_backend.push_back(chosen);
     }
     std::vector<FanoutSlot> slots = FanOutWithFaults(std::move(jobs));
     std::vector<PendingPart> next;
+    // The first failure is returned only after every applied sub-batch of
+    // the round is logged: a backend's log must hold every row its engine
+    // holds, or a rebuild from the log would drop them.
+    Status failed = Status::OK();
+    auto fail = [&](Status status) {
+      if (failed.ok()) failed = std::move(status);
+    };
     for (size_t k = 0; k < slots.size(); ++k) {
       FanoutSlot& slot = slots[k];
       const size_t i = job_backend[k];
-      PendingPart& part = pending[job_part[k]];
+      PendingPart& part = pending[k];
       if (slot.fault == FaultKind::kNone && !slot.timed_out) {
-        if (!slot.status.ok()) return slot.status;  // genuine engine error
+        if (!slot.status.ok()) {  // genuine engine error
+          fail(slot.status);
+          continue;
+        }
         // The sub-batch now belongs to backend i's partition; its log —
         // the partition's source of truth for rebuilds — records it as
-        // one entry. (After the apply, like single-record inserts, so a
+        // one entry. (After the apply, unlike broadcasts, so a
         // failed-over sub-batch never lingers in a dead backend's log.)
         (void)backends_[i]->wal().Append(part.payload);
         backends_[i]->health().OnSuccess();
@@ -653,19 +667,65 @@ Result<ExecutionReport> Controller::ExecuteBatchInsert(
       if (slot.timed_out && slot.fault == FaultKind::kNone) {
         // Genuine timeout: the engine may have applied the sub-batch
         // after we gave up; re-placing it could duplicate every record.
-        return Status::Unavailable("insert outcome unknown: " +
-                                   slot.status.message());
+        // The backend is quarantined; its rebuild resolves the ambiguity
+        // toward "not inserted", matching this error.
+        fail(Status::Unavailable("insert outcome unknown: " +
+                                 slot.status.message()));
+        continue;
       }
       ++part.tried;
-      if (part.tried >= n) return last_failure;
-      next.push_back(std::move(part));
+      if (part.pinned || part.tried >= n) {
+        fail(last_failure);
+      } else {
+        next.push_back(std::move(part));
+      }
     }
+    MLDS_RETURN_IF_ERROR(failed);
     pending = std::move(next);
   }
 
   report.response.warnings = std::move(warnings);
   report.response_time_ms = options_.bus.RoundTripMs() + max_ms;
   report.wall_time_ms = ElapsedMs(start);
+  return report;
+}
+
+Result<ExecutionReport> Controller::ExecuteKeyUpdate(
+    const abdl::UpdateRequest& update) {
+  abdl::RetrieveRequest read;
+  read.query = update.query;
+  read.all_attributes = true;
+  MLDS_ASSIGN_OR_RETURN(ExecutionReport found, ExecuteBroadcast(read));
+  if (!found.response.warnings.empty()) {
+    return Status::Unavailable(
+        "an UPDATE of a unique attribute needs every backend; backend " +
+        std::to_string(found.response.warnings.front().backend_id) + " is " +
+        found.response.warnings.front().state);
+  }
+  if (found.response.records.empty()) return found;
+  abdl::BatchInsertRequest before;
+  before.records = std::move(found.response.records);
+  abdl::BatchInsertRequest after = before;
+  for (abdm::Record& record : after.records) update.modifier.ApplyTo(record);
+  MLDS_ASSIGN_OR_RETURN(
+      ExecutionReport report,
+      ExecuteBroadcast(abdl::DeleteRequest{update.query, update.explain}));
+  Result<ExecutionReport> moved = ExecuteInsert(after);
+  if (!moved.ok()) {
+    // Rejected (the new values clash): the read records go back, placed
+    // as any insert is, so the failed UPDATE leaves the file as it was.
+    (void)ExecuteInsert(before);
+    return moved.status();
+  }
+  report.response.affected = moved->response.affected;
+  for (const ExecutionReport* step : {&found, &*moved}) {
+    report.response.io += step->response.io;
+    report.response_time_ms += step->response_time_ms;
+    report.wall_time_ms += step->wall_time_ms;
+    for (size_t i = 0; i < report.backend_times_ms.size(); ++i) {
+      report.backend_times_ms[i] += step->backend_times_ms[i];
+    }
+  }
   return report;
 }
 

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -126,16 +127,6 @@ struct ExecutionReport {
   std::vector<double> backend_times_ms;
 };
 
-/// How INSERTs choose a backend.
-enum class PlacementPolicy {
-  /// Consecutive inserts land on consecutive backends: perfectly even.
-  kRoundRobin,
-  /// Hash of the record's database-key keyword (second keyword); falls
-  /// back to round-robin for records without one. Deterministic placement
-  /// independent of arrival order, at the cost of mild skew.
-  kHashKey,
-};
-
 /// Availability knobs of the controller. All thresholds are counted in
 /// requests and all backoff delays are *simulated* unless `backoff_sleep`
 /// is set, so fault-tolerance tests run deterministically with no sleeps.
@@ -164,7 +155,6 @@ struct MbdsOptions {
   kds::EngineOptions engine;
   DiskModel disk;
   BusModel bus;
-  PlacementPolicy placement = PlacementPolicy::kRoundRobin;
   /// When > 0, each backend *actually waits* `CostMs(io) * latency_scale`
   /// wall-clock milliseconds after executing a request, emulating its
   /// dedicated disk's latency. Backends wait concurrently, so this turns
@@ -197,7 +187,11 @@ struct ControllerHealth {
 /// transactions across the parallel backends (Ch. I.B.2).
 ///
 /// Record distribution: INSERTs are routed round-robin so every file's
-/// records spread evenly over the backends' disks. All other requests are
+/// records spread evenly over the backends' disks — except records of a
+/// file with unique attributes, which go where their unique values hash,
+/// so the one backend holding a key is the one that checks it. Such a
+/// record never fails over to another backend, and an UPDATE changing a
+/// unique attribute moves its records to where their new values hash. All other requests are
 /// broadcast; each backend executes against its partition *concurrently*
 /// (on the controller's thread pool), and the controller merges replies in
 /// backend-id order so results are deterministic regardless of completion
@@ -381,17 +375,30 @@ class Controller {
   /// deterministic regardless of completion order.
   Status RunParallel(size_t tasks, const std::function<Status(size_t)>& fn);
 
-  Result<ExecutionReport> ExecuteInsert(const abdl::InsertRequest& request);
-  /// Batch INSERT: partitions the records by the placement policy into one
-  /// sub-batch per backend, fans the sub-batches out concurrently, and
-  /// logs each applied sub-batch as one WAL entry on its backend.
-  Result<ExecutionReport> ExecuteBatchInsert(
-      const abdl::BatchInsertRequest& request);
+  /// INSERT and batch INSERT (a single INSERT is a batch of one): one
+  /// sub-batch per backend (see "Record distribution"), fanned out
+  /// concurrently, each applied one logged as one WAL entry.
+  Result<ExecutionReport> ExecuteInsert(const abdl::Request& request);
+  /// An UPDATE changing a unique attribute (see MovesUniqueKey): reads
+  /// the selected records, deletes them and inserts the modified records
+  /// through ExecuteInsert, which places and checks them; a rejected
+  /// insert puts the read records back. Runs under `placement_mutex_`
+  /// held exclusively.
+  Result<ExecutionReport> ExecuteKeyUpdate(const abdl::UpdateRequest& update);
   Result<ExecutionReport> ExecuteBroadcast(const abdl::Request& request);
   /// RETRIEVE-COMMON: both sides broadcast as plain retrieves, with the
   /// join performed at the controller so cross-partition pairs survive.
   Result<ExecutionReport> ExecuteDistributedJoin(
       const abdl::RetrieveCommonRequest& request);
+
+  /// The engine of the first available backend: it knows every file's
+  /// descriptor.
+  std::shared_ptr<kds::Engine> SchemaEngine() const;
+
+  /// True when `update` changes a unique attribute of a file it can
+  /// reach and there is more than one backend: its records may then
+  /// belong on another backend.
+  bool MovesUniqueKey(const abdl::UpdateRequest& update) const;
 
   /// Executes `request` on backend `i`'s engine, charging its busy time
   /// and sleeping the injected latency. Returns the engine response and
@@ -413,6 +420,10 @@ class Controller {
   /// layers on one pool could park every worker in a dispatcher and
   /// deadlock the fan-out jobs they are waiting for.
   std::unique_ptr<common::ThreadPool> txn_pool_;
+  /// A key UPDATE moving records between backends holds it exclusively;
+  /// every other request shares it, so none sees a moving record on
+  /// neither backend or on both.
+  std::shared_mutex placement_mutex_;
   std::atomic<uint64_t> insert_cursor_{0};
   std::atomic<uint64_t> request_seq_{0};
   std::atomic<double> total_response_ms_{0.0};

@@ -43,11 +43,17 @@ Result<abdm::DatabaseDescriptor> MapNetworkToAbdm(
     // One keyword per data-item, carried by a secondary index: the FILE
     // keyword, database key, and set keywords below keep the primary
     // directory clustering, while data-item predicates take the
-    // secondary-index path.
+    // secondary-index path. DUPLICATES ARE NOT ALLOWED items are unique
+    // in the kernel — except a scalar multi-valued function's item, whose
+    // clause only says one record occurrence holds one of its values.
     for (const auto& attr : record.attributes) {
+      const bool unique =
+          !attr.duplicates_allowed &&
+          (mapping == nullptr ||
+           !mapping->IsScalarMultiValued(record.name, attr.name));
       file.attributes.push_back(abdm::AttributeDescriptor{
           attr.name, MapAttrType(attr.type), attr.length,
-          /*directory=*/false, /*indexed=*/true});
+          /*directory=*/false, /*indexed=*/true, unique});
     }
 
     // Member-side set keywords (owner's dbkey), skipping SYSTEM sets.

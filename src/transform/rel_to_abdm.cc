@@ -1,5 +1,7 @@
 #include "transform/rel_to_abdm.h"
 
+#include <algorithm>
+
 #include "abdm/record.h"
 #include "transform/abdm_mapping.h"
 
@@ -35,11 +37,15 @@ Result<abdm::DatabaseDescriptor> MapRelationalToAbdm(
         KeyAttribute(table.name), abdm::ValueKind::kString, 0, true});
     // Data columns ride a secondary index rather than the keyword
     // directory: the FILE keyword and surrogate key keep clustering the
-    // file, while column predicates get the secondary-index path.
+    // file, while column predicates get the secondary-index path. The
+    // kernel enforces UNIQUE over the flagged columns.
     for (const auto& column : table.columns) {
+      const bool unique =
+          std::find(table.unique_columns.begin(), table.unique_columns.end(),
+                    column.name) != table.unique_columns.end();
       file.attributes.push_back(abdm::AttributeDescriptor{
           column.name, MapColumnType(column.type), column.length,
-          /*directory=*/false, /*indexed=*/true});
+          /*directory=*/false, /*indexed=*/true, unique});
     }
     db.files.push_back(std::move(file));
   }

@@ -1,4 +1,4 @@
-// Tests for storage compaction and MBDS placement policies.
+// Tests for storage compaction and MBDS placement of unique-keyed records.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,15 @@ abdm::FileDescriptor ItemFile() {
   f.attributes = {{"FILE", abdm::ValueKind::kString, 0, true},
                   {"key", abdm::ValueKind::kInteger, 0, true},
                   {"payload", abdm::ValueKind::kString, 0, false}};
+  return f;
+}
+
+/// ItemFile with `key` unique: the controller places its records by a
+/// hash of the key.
+abdm::FileDescriptor UniqueItemFile() {
+  abdm::FileDescriptor f = ItemFile();
+  f.attributes[1].indexed = true;
+  f.attributes[1].unique = true;
   return f;
 }
 
@@ -87,14 +96,13 @@ TEST(CompactionTest, ScanCostDropsAfterCompaction) {
   EXPECT_EQ(cheap->records.size(), costly->records.size());
 }
 
-TEST(PlacementPolicyTest, HashPlacementIsOrderIndependent) {
+TEST(UniquePlacementTest, HashPlacementIsOrderIndependent) {
   mbds::MbdsOptions options;
   options.num_backends = 4;
-  options.placement = mbds::PlacementPolicy::kHashKey;
   mbds::Controller forward(options);
   mbds::Controller backward(options);
-  ASSERT_TRUE(forward.DefineFile(ItemFile()).ok());
-  ASSERT_TRUE(backward.DefineFile(ItemFile()).ok());
+  ASSERT_TRUE(forward.DefineFile(UniqueItemFile()).ok());
+  ASSERT_TRUE(backward.DefineFile(UniqueItemFile()).ok());
   for (int i = 0; i < 64; ++i) {
     ASSERT_TRUE(forward
                     .Execute(MustParse("INSERT (<FILE, item>, <key, " +
@@ -112,12 +120,11 @@ TEST(PlacementPolicyTest, HashPlacementIsOrderIndependent) {
   }
 }
 
-TEST(PlacementPolicyTest, HashPlacementStillAnswersQueriesCorrectly) {
+TEST(UniquePlacementTest, HashPlacementStillAnswersQueriesCorrectly) {
   mbds::MbdsOptions options;
   options.num_backends = 3;
-  options.placement = mbds::PlacementPolicy::kHashKey;
   mbds::Controller controller(options);
-  ASSERT_TRUE(controller.DefineFile(ItemFile()).ok());
+  ASSERT_TRUE(controller.DefineFile(UniqueItemFile()).ok());
   for (int i = 0; i < 30; ++i) {
     ASSERT_TRUE(controller
                     .Execute(MustParse("INSERT (<FILE, item>, <key, " +

@@ -613,8 +613,8 @@ TEST_F(DmlUniversityTest, BatchStoreRejectsHostileShapes) {
 }
 
 TEST_F(DmlUniversityTest, BatchStoreDuplicateAgainstKernelRejected) {
-  // course_1 already carries (Advanced Database, Fall86): the batch's
-  // per-record duplicate probe sees the kernel and aborts the chunk.
+  // course_1 already carries (Advanced Database, Fall86): the kernel's
+  // uniqueness check rejects the chunk.
   const std::vector<std::vector<abdm::Value>> dup = {
       {abdm::Value::String("Advanced Database"),
        abdm::Value::String("Fall86")}};

@@ -229,6 +229,37 @@ TEST(PagedStorageTest, SecondaryIndexSurvivesCleanRestart) {
   EXPECT_LE(response->io.blocks_read, 2u);
 }
 
+TEST(PagedStorageTest, UniqueFlagSurvivesCleanRestartAndSnapshot) {
+  DatabaseDescriptor bank = BankSchema();
+  bank.files[0].attributes[1].indexed = true;  // acct: unique implies
+  bank.files[0].attributes[1].unique = true;   // indexed
+  const std::string dir = FreshDataDir("unique_restart");
+  {
+    EngineOptions options;
+    options.data_dir = dir;
+    Engine engine(options);
+    ASSERT_TRUE(engine.DefineDatabase(bank).ok());
+    MustExecute(engine, InsertAccount(1));
+  }
+  EngineOptions options;
+  options.data_dir = dir;
+  Engine revived(options);
+  ASSERT_TRUE(revived.restore_status().ok());
+  // The page header carried the flag: the definition re-attaches, and
+  // the restored file still rejects a duplicate key.
+  ASSERT_TRUE(revived.DefineDatabase(bank).ok());
+  EXPECT_EQ(revived.Execute(MustParse(InsertAccount(1))).status().code(),
+            StatusCode::kConstraintViolation);
+  const std::string snapshot = SnapshotOf(revived);
+  EXPECT_NE(snapshot.find("ATTR acct string 0 1 2"), std::string::npos)
+      << snapshot;
+  Engine reloaded;
+  std::istringstream in(snapshot);
+  ASSERT_TRUE(kds::LoadSnapshot(in, &reloaded).ok());
+  EXPECT_EQ(reloaded.Execute(MustParse(InsertAccount(1))).status().code(),
+            StatusCode::kConstraintViolation);
+}
+
 TEST(PagedStorageTest, CreateIndexIsLoggedAndRecovered) {
   kds::WalWriter wal;
   Engine engine;
@@ -425,6 +456,7 @@ TEST(PagedStorageTest, LegacyFourFieldSnapshotStillLoads) {
   ASSERT_EQ(desc->attributes.size(), 3u);
   EXPECT_TRUE(desc->attributes[1].directory);   // pno was a directory attr.
   EXPECT_FALSE(desc->attributes[2].indexed);    // legacy: no indexed flag.
+  for (const auto& attr : desc->attributes) EXPECT_FALSE(attr.unique);
   EXPECT_TRUE(engine.SecondaryIndexes("parts").empty());
   auto response = engine.Execute(MustParse(
       "RETRIEVE ((FILE = parts) and (pno = 'p2')) (all attributes)"));

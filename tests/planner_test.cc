@@ -13,7 +13,9 @@
 #include <optional>
 #include <string>
 
+#include "abdl/request.h"
 #include "abdm/stats.h"
+#include "kds/engine.h"
 #include "kds/file_store.h"
 #include "kds/plan.h"
 
@@ -299,6 +301,37 @@ TEST(PlannerBoundsTest, SkippedIntersectChildStaysUnexecuted) {
   ASSERT_EQ(plan.kind, PlanNodeKind::kUnionOfConjunctions);
   ASSERT_EQ(plan.children.size(), 1u);
   EXPECT_EQ(plan.children[0].kind, PlanNodeKind::kIndexEquality);
+  EXPECT_EQ(plan.children[0].predicate->attribute, "key");
+}
+
+TEST(PlannerBoundsTest, WarmPoolPointLookupPlansLoneIndexEquality) {
+  // A full scan has read the whole file into the buffer pool. The point
+  // lookup still plans as the bare key probe: intersecting the whole-file
+  // FILE bucket would build a list of every record id to remove nothing.
+  EngineOptions options;
+  options.block_capacity = 16;
+  options.pool_pages = 64;
+  Engine engine(options);
+  ASSERT_TRUE(engine.DefineFile(Descriptor()).ok());
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(engine.Execute(abdl::InsertRequest{MakeRecord(i)}).ok());
+  }
+  const Predicate in_file{"FILE", RelOp::kEq, Value::String("item")};
+  abdl::RetrieveRequest scan;
+  scan.query = Query::And({in_file});
+  scan.all_attributes = true;
+  ASSERT_EQ(engine.Execute(scan)->records.size(), 200u);
+  abdl::RetrieveRequest point;
+  point.query = Query::And({in_file, Eq("key", 42)});
+  point.all_attributes = true;
+  point.explain = true;
+  auto response = engine.Execute(point);
+  ASSERT_TRUE(response.ok()) << response.status();
+  ASSERT_EQ(response->records.size(), 1u);
+  const PlanNode& plan = *response->plan;
+  ASSERT_EQ(plan.children.size(), 1u) << plan.ToString();
+  EXPECT_EQ(plan.children[0].kind, PlanNodeKind::kIndexEquality)
+      << plan.ToString();
   EXPECT_EQ(plan.children[0].predicate->attribute, "key");
 }
 

@@ -540,5 +540,38 @@ TEST_F(WalRecoveryTest, GroupCommittedLogRecoversExactlyAtEveryBoundary) {
   }
 }
 
+TEST(WalDefineTest, UniqueFlagRoundTripsAndLegacyEntriesStillDecode) {
+  FileDescriptor file;
+  file.name = "orders";
+  file.attributes = {{"FILE", ValueKind::kString, 0, true},
+                     {"oid", ValueKind::kString, 12, false, true, true},
+                     {"amount", ValueKind::kFloat, 0, false, true},
+                     {"note", ValueKind::kString, 0, false}};
+  const std::string entry = EncodeDefineFile(file);
+  // Unique rides the indexed field as a third value: no field is added.
+  EXPECT_EQ(entry,
+            "DEFINE orders :: FILE string 0 1 0 :: oid string 12 0 2 :: "
+            "amount float 0 0 1 :: note string 0 0 0");
+  auto decoded = DecodeDefineFile(entry.substr(7));
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(*decoded, file);
+
+  // Entries written before the unique flag (five fields, indexed 0/1)
+  // and before the indexed flag (four fields) decode with no attribute
+  // unique.
+  for (const char* legacy :
+       {"orders :: FILE string 0 1 0 :: oid string 12 0 1",
+        "orders :: FILE string 0 1 :: oid string 12 0"}) {
+    auto old = DecodeDefineFile(legacy);
+    ASSERT_TRUE(old.ok()) << legacy << ": " << old.status();
+    ASSERT_EQ(old->attributes.size(), 2u) << legacy;
+    EXPECT_FALSE(old->attributes[1].unique) << legacy;
+  }
+  // An indexed field outside 0/1/2 is malformed.
+  EXPECT_FALSE(
+      DecodeDefineFile("orders :: FILE string 0 1 0 :: oid string 12 0 3")
+          .ok());
+}
+
 }  // namespace
 }  // namespace mlds::kds

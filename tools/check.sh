@@ -172,6 +172,8 @@ run_bulk_smoke() {
 # down cleanly (remote SHUTDOWN → drain → engine flush + clean marker),
 # and a second server over the same dir must serve all four rows back —
 # no snapshot call anywhere, the page files alone carry the database.
+# It must also still reject a duplicate key in SQL, CODASYL and Daplex:
+# the kernel's unique flags survived in the page headers.
 run_persistence_smoke() {
   local build_dir="$1" log="$2"
   local data_dir="${build_dir}/persist-smoke-data"
@@ -198,6 +200,7 @@ run_persistence_smoke() {
     "INSERT INTO staff (name, wage) VALUES ('persist_sql', 55)" \
     ".use daplex university" \
     "CREATE department (dname = 'Persistence')" \
+    "CREATE course (title = 'Persisted', semester = 'Sp99', credits = 3)" \
     ".use codasyl university" \
     "MOVE 'Hopper Hall' TO dname IN department" \
     "STORE department" \
@@ -224,15 +227,26 @@ run_persistence_smoke() {
     ".use dli clinic" \
     "GU patient (pname = 'persist_p')" \
     ".stats" \
-    ".shutdown" \
     | "${build_dir}/tools/mlds_shell" 127.0.0.1 "${PERSIST_PORT}" --strict \
     > "${log}.second.shell"
-  wait "${PERSIST_PID}"
-  trap - EXIT
   for row in persist_sql Persistence Hopper persist_p; do
     grep -q "${row}" "${log}.second.shell" \
       || { echo "row '${row}' did not survive the restart"; exit 1; }
   done
+  printf '%s\n' \
+    ".use sql payroll" \
+    "INSERT INTO staff (name, wage) VALUES ('persist_sql', 56)" \
+    ".use codasyl university" \
+    "STORE course (title = 'Persisted', semester = 'Sp99', credits = 4)" \
+    ".use daplex university" \
+    "CREATE course (title = 'Persisted', semester = 'Sp99', credits = 5)" \
+    ".shutdown" \
+    | "${build_dir}/tools/mlds_shell" 127.0.0.1 "${PERSIST_PORT}" \
+    > "${log}.duplicates.shell"
+  wait "${PERSIST_PID}"
+  trap - EXIT
+  [[ "$(grep -c "error: ConstraintViolation" "${log}.duplicates.shell")" == 3 ]] \
+    || { echo "a duplicate key was accepted after the restart"; exit 1; }
   echo "restart persistence smoke passed (port ${PERSIST_PORT})"
 }
 
