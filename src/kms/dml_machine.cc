@@ -208,6 +208,8 @@ Result<DmlResult> DmlMachine::ExecuteBatch(
     return params_per_row;
   };
   auto run = [&](size_t begin, size_t end) -> Status {
+    MLDS_ASSIGN_OR_RETURN(std::vector<std::string> keys,
+                          AllocateKeys(rt->name, end - begin));
     std::vector<BuiltStore> built;
     built.reserve(end - begin);
     std::vector<Record> records;
@@ -218,7 +220,8 @@ Result<DmlResult> DmlMachine::ExecuteBatch(
         uwa_.Move(store->record, a.item,
                   a.is_param ? rows[i][next_param++] : a.value);
       }
-      MLDS_ASSIGN_OR_RETURN(BuiltStore one, BuildStoreRecord(*rt));
+      MLDS_ASSIGN_OR_RETURN(BuiltStore one,
+                            BuildStoreRecord(*rt, std::move(keys[i - begin])));
       records.push_back(one.record);
       built.push_back(std::move(one));
     }
@@ -720,9 +723,8 @@ Result<DmlResult> DmlMachine::Get(const codasyl::GetStatement& s) {
 }
 
 Result<DmlMachine::BuiltStore> DmlMachine::BuildStoreRecord(
-    const network::RecordType& rt) {
+    const network::RecordType& rt, std::string dbkey) {
   const std::string& name = rt.name;
-  MLDS_ASSIGN_OR_RETURN(std::string dbkey, AllocateKey(name));
 
   Record record;
   record.Set(std::string(abdm::kFileAttribute), Value::String(name));
@@ -822,7 +824,9 @@ Result<DmlResult> DmlMachine::Store(const codasyl::StoreStatement& s) {
   for (const auto& a : s.assignments) {
     uwa_.Move(s.record, a.item, a.value);
   }
-  MLDS_ASSIGN_OR_RETURN(BuiltStore built, BuildStoreRecord(*rt));
+  MLDS_ASSIGN_OR_RETURN(std::string dbkey, AllocateKey(rt->name));
+  MLDS_ASSIGN_OR_RETURN(BuiltStore built,
+                        BuildStoreRecord(*rt, std::move(dbkey)));
   MLDS_ASSIGN_OR_RETURN(kds::Response resp,
                         Issue(InsertRequest{built.record}));
   (void)resp;

@@ -173,10 +173,12 @@ class DmlMachine : public LanguageInterface {
     std::vector<std::pair<std::string, std::string>> connected;
   };
 
-  /// The record-construction half of STORE (Ch. VI.G): allocates the
-  /// database key, fills items from the UWA, checks duplicates, and
-  /// resolves set membership. Shared by Store and ExecuteBatch.
-  Result<BuiltStore> BuildStoreRecord(const network::RecordType& rt);
+  /// The record-construction half of STORE (Ch. VI.G): keys the record
+  /// with `dbkey` (allocated by the caller, one AllocateKeys call per
+  /// batch chunk), fills items from the UWA, and resolves set membership.
+  /// Shared by Store and ExecuteBatch.
+  Result<BuiltStore> BuildStoreRecord(const network::RecordType& rt,
+                                      std::string dbkey);
 
   /// Post-insert currency maintenance for one stored record.
   void CommitStoreCurrencies(std::string_view record_type,

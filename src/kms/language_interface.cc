@@ -1,6 +1,7 @@
 #include "kms/language_interface.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "common/strings.h"
 #include "transform/abdm_mapping.h"
@@ -106,15 +107,28 @@ std::shared_ptr<const kds::PlanNode> LanguageInterface::EndExplain() {
 
 Result<std::vector<std::string>> LanguageInterface::AllocateKeys(
     std::string_view file, size_t count) {
+  const std::string key_attribute = transform::KeyAttribute(file);
   std::vector<std::string> keys;
   keys.reserve(count);
   while (keys.size() < count) {
     const size_t wanted = count - keys.size();
     const uint64_t first = executor_->ReserveKeys(file, wanted);
+    std::vector<std::string> candidates;
+    candidates.reserve(wanted);
     for (uint64_t n = first; n < first + wanted; ++n) {
-      std::string candidate = transform::MakeDbKey(file, n);
-      MLDS_ASSIGN_OR_RETURN(bool taken, RecordExists(file, candidate));
-      if (!taken) keys.push_back(std::move(candidate));
+      candidates.push_back(transform::MakeDbKey(file, n));
+    }
+    // One probe for the round: the candidates some record already holds.
+    abdl::RetrieveRequest probe;
+    probe.query = KeyQuery(file, candidates);
+    probe.targets = {abdl::TargetItem{key_attribute}};
+    MLDS_ASSIGN_OR_RETURN(kds::Response held, Issue(std::move(probe)));
+    std::unordered_set<std::string> taken;
+    for (const abdm::Record& record : held.records) {
+      taken.insert(record.GetOrNull(key_attribute).ToDisplayString());
+    }
+    for (std::string& candidate : candidates) {
+      if (!taken.contains(candidate)) keys.push_back(std::move(candidate));
     }
   }
   return keys;
@@ -127,14 +141,26 @@ Result<std::string> LanguageInterface::AllocateKey(std::string_view file) {
 
 Result<bool> LanguageInterface::RecordExists(std::string_view file,
                                              std::string_view dbkey) {
-  const std::string key_attribute = transform::KeyAttribute(file);
   abdl::RetrieveRequest probe;
-  probe.query = abdm::Query::ForFile(
-      file, {abdm::Predicate{key_attribute, abdm::RelOp::kEq,
-                             abdm::Value::String(std::string(dbkey))}});
-  probe.targets = {abdl::TargetItem{key_attribute}};
+  probe.query = KeyQuery(file, {std::string(dbkey)});
+  probe.targets = {abdl::TargetItem{transform::KeyAttribute(file)}};
   MLDS_ASSIGN_OR_RETURN(kds::Response response, Issue(std::move(probe)));
   return !response.records.empty();
+}
+
+abdm::Query LanguageInterface::KeyQuery(std::string_view file,
+                                        const std::vector<std::string>& keys) {
+  const std::string key_attribute = transform::KeyAttribute(file);
+  std::vector<abdm::Conjunction> disjuncts;
+  disjuncts.reserve(keys.size());
+  for (const std::string& key : keys) {
+    disjuncts.push_back(abdm::Conjunction{
+        {abdm::Predicate{std::string(abdm::kFileAttribute), abdm::RelOp::kEq,
+                         abdm::Value::String(std::string(file))},
+         abdm::Predicate{key_attribute, abdm::RelOp::kEq,
+                         abdm::Value::String(key)}}});
+  }
+  return abdm::Query(std::move(disjuncts));
 }
 
 Status LanguageInterface::ForEachChunk(

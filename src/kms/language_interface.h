@@ -12,6 +12,7 @@
 
 #include "abdl/prepared.h"
 #include "abdl/request.h"
+#include "abdm/query.h"
 #include "abdm/value.h"
 #include "common/result.h"
 #include "kc/executor.h"
@@ -132,16 +133,26 @@ class LanguageInterface {
   std::shared_ptr<const kds::PlanNode> EndExplain();
   bool explaining() const { return explain_; }
 
-  /// Allocates fresh database keys for `file`: numbers reserved from the
-  /// executor (kc::KernelExecutor::ReserveKeys, so concurrent sessions
-  /// never share one), each probed so the keys are free before any
-  /// record using them inserts.
+  /// Allocates `count` fresh database keys for `file`, in order. Each
+  /// round reserves the missing numbers from the executor
+  /// (kc::KernelExecutor::ReserveKeys, so concurrent sessions never share
+  /// one) and checks every candidate in one RETRIEVE over KeyQuery; the
+  /// candidates no record holds are kept (a record keyed otherwise, by an
+  /// ABDL writer or before a restart, may hold any of them), and rounds
+  /// repeat until `count` keys are free. A batch chunk therefore costs one
+  /// probe, not one per row.
   Result<std::vector<std::string>> AllocateKeys(std::string_view file,
                                                 size_t count);
   Result<std::string> AllocateKey(std::string_view file);
 
   /// True when a record of `file` with database key `dbkey` exists.
   Result<bool> RecordExists(std::string_view file, std::string_view dbkey);
+
+  /// The records of `file` holding any of `keys`: the disjunction of
+  /// ((FILE = file) and (<key attribute> = key)) over `keys`. No keys
+  /// make an empty query, which matches nothing.
+  static abdm::Query KeyQuery(std::string_view file,
+                              const std::vector<std::string>& keys);
 
   /// The shared batch loop: rejects an empty batch, runs `prepare`
   /// (compile and check the template, returning its parameters per row),

@@ -157,9 +157,8 @@ Result<SqlMachine::Outcome> SqlMachine::ExecuteBatch(
     for (const Record& record : batch.records) {
       MLDS_RETURN_IF_ERROR(CheckNotNull(*table, record));
     }
-    MLDS_ASSIGN_OR_RETURN(
-        std::vector<std::string> keys,
-        AllocateTupleKeys(prepared.table, batch.records.size()));
+    MLDS_ASSIGN_OR_RETURN(std::vector<std::string> keys,
+                          AllocateKeys(prepared.table, batch.records.size()));
     for (size_t i = 0; i < batch.records.size(); ++i) {
       batch.records[i].Set(KeyAttribute(prepared.table),
                            Value::String(keys[i]));
@@ -209,12 +208,32 @@ Result<SqlMachine::Outcome> SqlMachine::RunCompiled(
       }
       return outcome;
     }
-    case CompiledSql::Kind::kUpdate: {
+    case CompiledSql::Kind::kUpdate:
+    case CompiledSql::Kind::kUpdateByKey: {
       // One kernel UPDATE per SET assignment; every request matches the
       // same rows, so the row count is the maximum, not the sum.
       std::vector<std::shared_ptr<const kds::PlanNode>> plans;
-      for (const abdl::Request& request : compiled.requests) {
-        MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(request));
+      size_t first_update = 0;
+      std::optional<Query> by_key;
+      if (compiled.kind == CompiledSql::Kind::kUpdateByKey) {
+        MLDS_ASSIGN_OR_RETURN(kds::Response matched,
+                              Issue(compiled.requests[0]));
+        if (matched.plan != nullptr) plans.push_back(std::move(matched.plan));
+        const std::string key_attribute = KeyAttribute(compiled.table);
+        std::vector<std::string> keys;
+        keys.reserve(matched.records.size());
+        for (const Record& row : matched.records) {
+          keys.push_back(row.GetOrNull(key_attribute).ToDisplayString());
+        }
+        by_key = KeyQuery(compiled.table, keys);
+        first_update = keys.empty() ? compiled.requests.size() : 1;
+      }
+      for (size_t i = first_update; i < compiled.requests.size(); ++i) {
+        abdl::Request request = compiled.requests[i];
+        if (by_key.has_value()) {
+          std::get<abdl::UpdateRequest>(request).query = *by_key;
+        }
+        MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(std::move(request)));
         outcome.affected = std::max(outcome.affected, resp.affected);
         if (resp.plan != nullptr) plans.push_back(std::move(resp.plan));
       }
@@ -296,24 +315,6 @@ Result<Query> SqlMachine::BuildQuery(const Table& table,
     disjuncts.push_back(std::move(out));
   }
   return Query(std::move(disjuncts));
-}
-
-Result<std::vector<std::string>> SqlMachine::AllocateTupleKeys(
-    std::string_view table, size_t count) {
-  // One probe per batch: reserve `count` consecutive keys, again while
-  // the first of them is already held.
-  uint64_t first = 0;
-  for (bool taken = true; taken;) {
-    first = executor_->ReserveKeys(table, count);
-    MLDS_ASSIGN_OR_RETURN(
-        taken, RecordExists(table, transform::MakeDbKey(table, first)));
-  }
-  std::vector<std::string> keys;
-  keys.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    keys.push_back(transform::MakeDbKey(table, first + i));
-  }
-  return keys;
 }
 
 Result<SqlMachine::Outcome> SqlMachine::Select(const SelectStatement& s) {
@@ -486,7 +487,7 @@ Result<SqlMachine::Outcome> SqlMachine::Insert(const sql::InsertStatement& s) {
     MLDS_RETURN_IF_ERROR(build(row));
   }
   MLDS_ASSIGN_OR_RETURN(std::vector<std::string> keys,
-                        AllocateTupleKeys(s.table, records.size()));
+                        AllocateKeys(s.table, records.size()));
   for (size_t i = 0; i < records.size(); ++i) {
     records[i].Set(KeyAttribute(s.table), Value::String(keys[i]));
   }
@@ -556,6 +557,30 @@ Result<SqlMachine::CompiledSql> SqlMachine::CompileUpdate(
   MLDS_ASSIGN_OR_RETURN(Query query, BuildQuery(*table, s.where));
   CompiledSql compiled;
   compiled.kind = CompiledSql::Kind::kUpdate;
+  // An assignment before the last that rewrites a column the WHERE clause
+  // reads would make the later UPDATEs miss the rows it changed: such a
+  // statement first retrieves the matched rows' tuple keys.
+  auto where_reads = [&](const std::string& column) {
+    for (const auto& conj : s.where.disjuncts) {
+      for (const SqlComparison& cmp : conj) {
+        if (cmp.left.column == column) return true;
+      }
+    }
+    return false;
+  };
+  bool by_key = false;
+  for (size_t i = 0; i + 1 < s.assignments.size(); ++i) {
+    by_key = by_key || where_reads(s.assignments[i].first);
+  }
+  if (by_key) {
+    compiled.kind = CompiledSql::Kind::kUpdateByKey;
+    compiled.table = s.table;
+    abdl::RetrieveRequest matched;
+    matched.query = query;
+    matched.targets = {abdl::TargetItem{KeyAttribute(s.table)}};
+    matched.explain = s.explain;
+    compiled.requests.push_back(std::move(matched));
+  }
   for (const auto& [column, value] : s.assignments) {
     abdl::UpdateRequest update;
     update.query = query;

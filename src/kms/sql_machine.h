@@ -26,7 +26,9 @@ namespace mlds::kms {
 ///   SELECT (one table)  -> RETRIEVE (query) (targets) [BY col]
 ///   SELECT (two tables) -> RETRIEVE-COMMON over the equi-join column
 ///   INSERT              -> INSERT (batch INSERT for several rows)
-///   UPDATE              -> one kernel UPDATE per SET assignment
+///   UPDATE              -> one kernel UPDATE per SET assignment (after a
+///                          RETRIEVE of the matched tuple keys when an
+///                          earlier assignment rewrites a WHERE column)
 ///   DELETE              -> DELETE
 ///
 /// Constraints enforced here: NOT NULL on INSERT and UPDATE, column
@@ -85,12 +87,18 @@ class SqlMachine : public LanguageInterface {
   /// A pure SQL statement compiled down to its ABDL requests. Replaying
   /// one skips parsing, name resolution, and query building — the cache
   /// hit executes the kernel requests directly.
+  ///
+  /// kUpdateByKey is an UPDATE whose assignments before the last rewrite
+  /// a column its WHERE clause reads: requests[0] retrieves the matched
+  /// rows' tuple keys of `table`, and each per-assignment UPDATE after it
+  /// runs with its query replaced by those keys (KeyQuery).
   struct CompiledSql {
-    enum class Kind { kSelect, kUpdate, kDelete };
+    enum class Kind { kSelect, kUpdate, kUpdateByKey, kDelete };
     Kind kind = Kind::kSelect;
     std::vector<abdl::Request> requests;
     /// SELECT * hides the kernel FILE keyword from the returned rows.
     bool strip_file = false;
+    std::string table;  ///< kUpdateByKey only.
   };
 
   /// A parameterized INSERT compiled to a bindable kernel template: the
@@ -138,12 +146,6 @@ class SqlMachine : public LanguageInterface {
   /// Builds the kernel query for a single-table WHERE clause.
   Result<abdm::Query> BuildQuery(const relational::Table& table,
                                  const sql::WhereClause& where) const;
-
-  /// Allocates `count` consecutive tuple keys reserved from the executor
-  /// (shared by every session, see kc::KernelExecutor::ReserveKeys),
-  /// probing only the first: a range past a held key is taken as free.
-  Result<std::vector<std::string>> AllocateTupleKeys(std::string_view table,
-                                                     size_t count);
 
   const relational::Schema* schema_;
 };

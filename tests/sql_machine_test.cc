@@ -170,6 +170,58 @@ TEST_F(SqlMachineTest, UpdateWithWhere) {
   EXPECT_EQ(rows[0].GetOrNull("credits").AsInteger(), 5);
 }
 
+TEST_F(SqlMachineTest, UpdateRewritingAWhereColumnAppliesEveryAssignment) {
+  // The first assignment rewrites the column the WHERE clause reads, so
+  // the statement retrieves the matched tuple keys first and addresses
+  // each per-assignment UPDATE to them.
+  auto outcome = Must(
+      "UPDATE course SET title = 'Compilers', credits = 5 "
+      "WHERE title = 'Networks'");
+  EXPECT_EQ(outcome.affected, 1u);
+  EXPECT_EQ(machine_->trace(),
+            (std::vector<std::string>{
+                "RETRIEVE ((FILE = 'course') and (title = 'Networks')) "
+                "(course)",
+                "UPDATE ((FILE = 'course') and (course = 'course_2')) "
+                "(title = 'Compilers')",
+                "UPDATE ((FILE = 'course') and (course = 'course_2')) "
+                "(credits = 5)"}));
+  auto rows = Must("SELECT credits FROM course WHERE title = 'Compilers'").rows;
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].GetOrNull("credits").AsInteger(), 5);
+  EXPECT_TRUE(Must("SELECT * FROM course WHERE title = 'Networks'")
+                  .rows.empty());
+
+  // Several matched rows: every one takes every assignment.
+  outcome = Must("UPDATE course SET dept = 'EE', credits = 1 WHERE dept = 'CS'");
+  EXPECT_EQ(outcome.affected, 2u);
+  rows = Must("SELECT title FROM course WHERE dept = 'EE' AND credits = 1")
+             .rows;
+  EXPECT_EQ(rows.size(), 2u);
+
+  // No row matches: the key RETRIEVE is the only request.
+  outcome = Must("UPDATE course SET dept = 'XX', credits = 9 WHERE dept = 'CS'");
+  EXPECT_EQ(outcome.affected, 0u);
+  EXPECT_EQ(machine_->trace().size(), 1u);
+}
+
+TEST_F(SqlMachineTest, UpdateKeepsWhereQueryWhenNoEarlierAssignmentRewritesIt) {
+  // Only the last assignment writes the WHERE column: every UPDATE keeps
+  // the statement's query, as does a single assignment.
+  auto outcome = Must(
+      "UPDATE course SET credits = 6, title = 'Heat' WHERE title = 'Thermo'");
+  EXPECT_EQ(outcome.affected, 1u);
+  EXPECT_EQ(machine_->trace(),
+            (std::vector<std::string>{
+                "UPDATE ((FILE = 'course') and (title = 'Thermo')) "
+                "(credits = 6)",
+                "UPDATE ((FILE = 'course') and (title = 'Thermo')) "
+                "(title = 'Heat')"}));
+  auto rows = Must("SELECT credits FROM course WHERE title = 'Heat'").rows;
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].GetOrNull("credits").AsInteger(), 6);
+}
+
 TEST_F(SqlMachineTest, DeleteWithWhere) {
   auto outcome = Must("DELETE FROM enrollment WHERE sname = 'bob'");
   EXPECT_EQ(outcome.affected, 1u);
@@ -272,8 +324,8 @@ TEST_F(SqlMachineTest, PreparedBatchChunksAtEffectiveBatchSize) {
       limits);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   EXPECT_EQ(outcome->affected, 10u);
-  // The trace also carries unique-probe and key-allocation RETRIEVEs;
-  // the INSERT entries are the kernel batches themselves.
+  // The trace also carries the key-allocation RETRIEVEs; the INSERT
+  // entries are the kernel batches themselves.
   size_t batches = 0;
   for (const std::string& entry : machine_->trace()) {
     if (entry.rfind("INSERT", 0) == 0) ++batches;

@@ -282,6 +282,40 @@ TEST_P(UniquenessTest, ConcurrentCreatesDrawDistinctDatabaseKeys) {
             keys.size());
 }
 
+/// The same for CODASYL batch STOREs, whose chunks allocate all their
+/// keys in one round: two sessions storing 10-row batches in lock-step.
+TEST_P(UniquenessTest, ConcurrentBatchStoresDrawDistinctDatabaseKeys) {
+  constexpr int kRounds = 40;
+  constexpr int kRows = 10;
+  std::unique_ptr<kms::LanguageInterface> sessions[2] = {
+      Open(*system_, Language::kCodasyl, "ledger"),
+      Open(*system_, Language::kCodasyl, "ledger")};
+  std::barrier sync(2);
+  auto storer = [&](int who) {
+    for (int round = 0; round < kRounds; ++round) {
+      kms::ParameterRows rows;
+      for (int i = 0; i < kRows; ++i) {
+        rows.push_back({Value::Integer((who * kRounds + round) * kRows + i),
+                        Value::Float(1.5)});
+      }
+      sync.arrive_and_wait();
+      Status status =
+          sessions[who]
+              ->RunBatch("STORE account (acct_no = ?, balance = ?)", rows)
+              .status();
+      EXPECT_TRUE(status.ok()) << status;
+    }
+  };
+  std::thread other(storer, 1);
+  storer(0);
+  other.join();
+  const std::vector<std::string> keys =
+      KernelValues(*system_, "account", "account");
+  EXPECT_EQ(keys.size(), 2u * kRounds * kRows);
+  EXPECT_EQ(std::set<std::string>(keys.begin(), keys.end()).size(),
+            keys.size());
+}
+
 /// Two sessions on one system insert the same key at once, round after
 /// round: every round must end with exactly one success and one
 /// kConstraintViolation, and the file must hold each key once.
